@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape, Tensor
-from .nn import ParamStore, adagrad_step, bilstm_encode, lstm_step
+from .nn import (ParamStore, _bilstm_np, _lstm_step_np, _sigmoid, _softmax,
+                 adagrad_step, bilstm_encode, lstm_step)
 from .verbalize import strip_marker
 
 log = logging.getLogger(__name__)
@@ -214,31 +215,98 @@ def train_generator(pairs, hyper: GeneratorHyper
 # Inference
 
 
+def _encode_plan_np(model: GeneratorModel, plan_ids: list[int]):
+    """Tape-free :func:`encode_plan`: (encoder states (L, n), h0, c0)."""
+    if not plan_ids:
+        raise ValueError("cannot encode an empty plan")
+    store = model.store
+    hidden = model.hyper.hidden
+    S = np.stack(_bilstm_np(store["emb"].data[plan_ids],
+                            store["enc_f.W"].data, store["enc_f.b"].data,
+                            store["enc_b.W"].data, store["enc_b.b"].data,
+                            hidden))
+    h0 = np.tanh(np.concatenate([S[-1, :hidden], S[0, hidden:]])
+                 @ store["W_init"].data)
+    return S, h0, np.zeros_like(h0)
+
+
+def _decode_step_np(model: GeneratorModel, S: np.ndarray,
+                    prev_ids: np.ndarray, h: np.ndarray, c: np.ndarray):
+    """Tape-free :func:`decode_step` followed by the output distributions,
+    for a stack of hypotheses: (h, c, p_gen, p_copy, alpha), one row each."""
+    store = model.store
+    h, c = _lstm_step_np(store["emb"].data[prev_ids], h, c,
+                         store["dec.W"].data, store["dec.b"].data)
+    alpha = _softmax((h @ store["W_att"].data) @ S.T, axis=1)
+    ctx = alpha @ S
+    comb = np.tanh(np.concatenate([h, ctx], axis=1) @ store["W_comb"].data
+                   + store["b_comb"].data)
+    p_gen = _softmax(comb @ store["W_out"].data + store["b_out"].data,
+                     axis=1)
+    p_copy = _sigmoid(comb @ store["w_copy"].data + store["b_copy"].data)
+    return h, c, p_gen, p_copy, alpha
+
+
+class _ExtendedVocab:
+    """The surfaces one plan's decoder can emit: every vocabulary token and
+    every marker-stripped plan token, less ``<unk>`` and ``<s>``.  Surfaces
+    are sorted, so an index is also the surface's lexicographic rank."""
+
+    def __init__(self, model: GeneratorModel, plan_tokens: list[str]):
+        dropped = (UNK, BOS)
+        plan_surfaces = [strip_marker(t) for t in plan_tokens]
+        self.surfaces = sorted(
+            {t for t in model.vocab if t not in dropped}
+            | {s for s in plan_surfaces if s not in dropped})
+        index = {s: i for i, s in enumerate(self.surfaces)}
+        gen = [(i, index[t]) for t, i in model.vocab.items()
+               if t not in dropped]
+        self.gen_src = np.array([i for i, _ in gen], dtype=np.int64)
+        self.gen_dst = np.array([j for _, j in gen], dtype=np.int64)
+        copy = [(pos, index[s]) for pos, s in enumerate(plan_surfaces)
+                if s not in dropped]
+        self.copy_pos = np.array([p for p, _ in copy], dtype=np.int64)
+        self.copy_dst = np.array([j for _, j in copy], dtype=np.int64)
+        #: decoder input id of each surface once emitted
+        self.input_id = np.array([model.token_id(s) for s in self.surfaces],
+                                 dtype=np.int64)
+        self.eos = index[EOS]
+
+    def mix(self, p_gen: np.ndarray, p_copy: np.ndarray,
+            alpha: np.ndarray) -> np.ndarray:
+        """(B, surfaces) generate/copy mixture: ``(1-pc) * p_gen`` scattered
+        into place, then the copy mass added in plan position order."""
+        dist = np.zeros((p_gen.shape[0], len(self.surfaces)))
+        dist[:, self.gen_dst] = ((1.0 - p_copy)[:, None] * p_gen)[:, self.gen_src]
+        rows = np.arange(p_gen.shape[0])[:, None]
+        np.add.at(dist, (rows, self.copy_dst[None, :]),
+                  p_copy[:, None] * alpha[:, self.copy_pos])
+        return dist
+
+
+def _top_k(dist: np.ndarray, m: int) -> list[np.ndarray]:
+    """Per row, the indices of the ``m`` largest entries ordered by
+    (-probability, index): the order of a full sort, without one."""
+    m = min(m, dist.shape[1])
+    part = np.argpartition(-dist, m - 1, axis=1)[:, :m]
+    kth = np.take_along_axis(dist, part, axis=1).min(axis=1)
+    top = []
+    for row, t in zip(dist, kth):
+        cand = np.flatnonzero(row >= t)
+        top.append(cand[np.argsort(-row[cand], kind="stable")[:m]])
+    return top
+
+
 @dataclass
 class _Hyp:
-    tokens: tuple[str, ...]
+    tokens: tuple[int, ...]    # extended-vocabulary indices
     logprob: float
     h: np.ndarray
     c: np.ndarray
-    prev: str
+    prev: int                  # decoder input id of the last token
 
     def score(self) -> float:
         return self.logprob / max(len(self.tokens), 1)
-
-
-def _surface_dist(model: GeneratorModel, plan_tokens, p_gen, p_copy, alpha
-                  ) -> dict[str, float]:
-    pc = float(p_copy)
-    dist: dict[str, float] = {}
-    gen = (1.0 - pc) * p_gen
-    for tok, idx in model.vocab.items():
-        dist[tok] = float(gen[idx])
-    for pos, plan_tok in enumerate(plan_tokens):
-        surface = strip_marker(plan_tok)
-        dist[surface] = dist.get(surface, 0.0) + pc * float(alpha[pos])
-    dist.pop(UNK, None)
-    dist.pop(BOS, None)
-    return dist
 
 
 def generate(plan_tokens: list[str], model: GeneratorModel,
@@ -253,42 +321,37 @@ def generate(plan_tokens: list[str], model: GeneratorModel,
     max_len = model.hyper.max_len if max_len is None else max_len
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
-    tape = Tape()
-    model.store.bind(tape)
-    plan_ids = [model.token_id(t) for t in plan_tokens]
-    S, h0, c0 = encode_plan(tape, model, plan_ids)
+    S, h0, c0 = _encode_plan_np(model, [model.token_id(t) for t in plan_tokens])
+    ext = _ExtendedVocab(model, plan_tokens)
 
-    beams = [_Hyp((), 0.0, h0.data, c0.data, BOS)]
+    beams = [_Hyp((), 0.0, h0, c0, model.token_id(BOS))]
     finished: list[_Hyp] = []
     for _step in range(max_len):
+        h, c, p_gen, p_copy, alpha = _decode_step_np(
+            model, S, np.array([hyp.prev for hyp in beams]),
+            np.stack([hyp.h for hyp in beams]),
+            np.stack([hyp.c for hyp in beams]))
+        dist = ext.mix(p_gen, p_copy, alpha)
         expansions: list[_Hyp] = []
-        for hyp in beams:
-            h, c, comb, alpha = decode_step(
-                tape, model, S, model.token_id(hyp.prev),
-                tape.tensor(hyp.h), tape.tensor(hyp.c))
-            p_gen, p_copy = _output_dists(tape, model, comb)
-            dist = _surface_dist(model, plan_tokens, p_gen.data,
-                                 p_copy.data, alpha.data)
-            top = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
-            for tok, prob in top[:beam_size + 1]:
-                logp = hyp.logprob + float(np.log(max(prob, 1e-300)))
-                if tok == EOS:
+        for b, (hyp, top) in enumerate(zip(beams, _top_k(dist, beam_size + 1))):
+            for j in top.tolist():
+                logp = hyp.logprob + float(np.log(max(dist[b, j], 1e-300)))
+                if j == ext.eos:
                     if hyp.tokens:
-                        finished.append(_Hyp(hyp.tokens, logp, h.data, c.data,
-                                             tok))
+                        finished.append(_Hyp(hyp.tokens, logp, h[b], c[b],
+                                             j))
                     continue
-                expansions.append(_Hyp(hyp.tokens + (tok,), logp, h.data,
-                                       c.data, tok))
+                expansions.append(_Hyp(hyp.tokens + (j,), logp, h[b], c[b],
+                                       int(ext.input_id[j])))
         if not expansions:
             break
         expansions.sort(key=lambda b: (-b.logprob, b.tokens))
         beams = expansions[:beam_size]
 
+    best = None
     if finished:
-        finished.sort(key=lambda b: (-b.score(), b.tokens))
-        return list(finished[0].tokens)
-    if beams:
+        best = min(finished, key=lambda b: (-b.score(), b.tokens))
+    elif beams:
         log.warning("generation hit the length cap without end-of-sequence")
-        beams.sort(key=lambda b: (-b.score(), b.tokens))
-        return list(beams[0].tokens)
-    return []
+        best = min(beams, key=lambda b: (-b.score(), b.tokens))
+    return [] if best is None else [ext.surfaces[j] for j in best.tokens]

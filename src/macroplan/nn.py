@@ -11,7 +11,6 @@ from .autodiff import ShapeError, Tape, Tensor
 __all__ = [
     "Parameter",
     "ParamStore",
-    "lstm_param_shapes",
     "lstm_step",
     "bilstm_encode",
     "adagrad_step",
@@ -87,10 +86,6 @@ class ParamStore:
                 if t.grad is not None}
 
 
-def lstm_param_shapes(input_dim: int, hidden: int) -> dict[str, tuple]:
-    return {"W": (input_dim + hidden, 4 * hidden), "b": (4 * hidden,)}
-
-
 def lstm_step(tape: Tape, x: Tensor, h: Tensor, c: Tensor,
               W: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
     """One step of a fused-gate LSTM; gate order i, f, o, g along the last axis.
@@ -131,6 +126,56 @@ def bilstm_encode(tape: Tape, seq: list[Tensor], W_f: Tensor, b_f: Tensor,
     fwd = run(seq, W_f, b_f)
     bwd = run(list(reversed(seq)), W_b, b_b)[::-1]
     return [tape.concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
+
+
+# ---------------------------------------------------------------------------
+# Tape-free forward helpers for inference: the same elementwise formulas as
+# the tape ops, on plain arrays.
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    shifted = logits - logits.max(axis=axis, keepdims=True)
+    ex = np.exp(shifted)
+    return ex / ex.sum(axis=axis, keepdims=True)
+
+
+def _lstm_step_np(x: np.ndarray, h: np.ndarray, c: np.ndarray,
+                  W: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tape-free :func:`lstm_step` on plain arrays, for inference: the same
+    ``[x;h] @ W + b`` product and gate slices, and no gradient."""
+    hidden = h.shape[-1]
+    z = np.concatenate([x, h], axis=-1) @ W + b
+    # elementwise, so one call over the three sigmoid gates rounds as three
+    ifo = _sigmoid(z[..., :3 * hidden])
+    i, f, o = (ifo[..., :hidden], ifo[..., hidden:2 * hidden],
+               ifo[..., 2 * hidden:])
+    c_new = f * c + i * np.tanh(z[..., 3 * hidden:])
+    return o * np.tanh(c_new), c_new
+
+
+def _bilstm_np(inputs, W_f: np.ndarray, b_f: np.ndarray, W_b: np.ndarray,
+               b_b: np.ndarray, hidden: int) -> list[np.ndarray]:
+    """Tape-free :func:`bilstm_encode` over a sequence of (B, in) or (in,)
+    arrays: per-position concat of forward and backward states."""
+    if len(inputs) == 0:
+        raise ValueError("bilstm_encode: empty sequence")
+    state_shape = inputs[0].shape[:-1] + (hidden,)
+
+    def run(seq, W, b):
+        h = c = np.zeros(state_shape)
+        states = []
+        for x in seq:
+            h, c = _lstm_step_np(x, h, c, W, b)
+            states.append(h)
+        return states
+
+    fwd = run(inputs, W_f, b_f)
+    bwd = run(inputs[::-1], W_b, b_b)[::-1]
+    return [np.concatenate([f, b], axis=-1) for f, b in zip(fwd, bwd)]
 
 
 def adagrad_step(store: ParamStore, lr: float,

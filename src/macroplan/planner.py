@@ -4,12 +4,13 @@ with a content-selection gate, pointer decoding, training and beam inference."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tape, Tensor
-from .nn import ParamStore, adagrad_step, bilstm_encode, lstm_step
+from .nn import (ParamStore, _bilstm_np, _lstm_step_np, _sigmoid, _softmax,
+                 adagrad_step, bilstm_encode, lstm_step)
 from .verbalize import PARAGRAPH_SEP, ParagraphPlanSpec
 
 log = logging.getLogger(__name__)
@@ -195,8 +196,8 @@ def instance_loss(tape: Tape, model: PlannerModel, id_seqs,
     return loss
 
 
-def train_planner(dataset, hyper: PlannerHyper,
-                  bpe_model=None) -> tuple[PlannerModel, list[float]]:
+def train_planner(dataset, hyper: PlannerHyper
+                  ) -> tuple[PlannerModel, list[float]]:
     """``dataset`` is a list of (candidate token sequences, gold pointer
     sequence).  Returns the trained model and the per-epoch mean NLL."""
     if not dataset:
@@ -237,6 +238,44 @@ def train_planner(dataset, hyper: PlannerHyper,
 # Inference
 
 
+def _candidate_reps(model: PlannerModel, id_seqs) -> np.ndarray:
+    """Tape-free :func:`encode_candidates` followed by :func:`contextualize`:
+    the contextualized representations (K, n), computed once per game."""
+    if any(len(s) == 0 for s in id_seqs):
+        raise ValueError("cannot encode an empty candidate")
+    store = model.store
+    emb = store["emb"].data
+    d = store["query_d"].data
+
+    by_len: dict[int, list[int]] = {}
+    for idx, seq in enumerate(id_seqs):
+        by_len.setdefault(len(seq), []).append(idx)
+
+    reps = np.empty((len(id_seqs), model.hyper.rep_dim))
+    for length, members in sorted(by_len.items()):
+        ids = np.array([id_seqs[i] for i in members], dtype=np.int64)
+        states = _bilstm_np([emb[ids[:, t]] for t in range(length)],
+                            store["enc_f.W"].data, store["enc_f.b"].data,
+                            store["enc_b.W"].data, store["enc_b.b"].data,
+                            model.hyper.hidden)
+        alpha = _softmax(np.stack([s @ d for s in states], axis=1), axis=1)
+        acc = alpha[:, 0:1] * states[0]
+        for t in range(1, length):
+            acc = acc + alpha[:, t:t + 1] * states[t]
+        reps[members] = acc
+
+    k = reps.shape[0]
+    if k == 1:
+        ctx = np.zeros_like(reps)
+    else:
+        scores = (reps @ store["W_a"].data) @ reps.T
+        beta = _softmax(np.where(~np.eye(k, dtype=bool), scores, -1e30),
+                        axis=1)
+        ctx = beta @ reps
+    gate = _sigmoid(np.concatenate([reps, ctx], axis=1) @ store["W_g"].data)
+    return gate * reps
+
+
 @dataclass
 class BeamHypothesis:
     pointers: tuple[int, ...]
@@ -244,16 +283,68 @@ class BeamHypothesis:
     h: np.ndarray
     c: np.ndarray
     finished: bool = False
+    bigrams: frozenset = frozenset()   # pointer bigrams used so far
 
     def score(self) -> float:
         return self.logprob / max(len(self.pointers), 1)
 
+    def extend(self, i: int, logprob: float, h: np.ndarray,
+               c: np.ndarray) -> "BeamHypothesis":
+        bigrams = self.bigrams | {(self.pointers[-1], i)} if self.pointers \
+            else self.bigrams
+        return BeamHypothesis(self.pointers + (i,), logprob, h, c,
+                              bigrams=bigrams)
 
-def _has_blocked_bigram(prefix: tuple[int, ...], nxt: int) -> bool:
-    if not prefix:
-        return False
-    bigram = (prefix[-1], nxt)
-    return any((a, b) == bigram for a, b in zip(prefix, prefix[1:]))
+
+def _allowed(hyps: list[BeamHypothesis], k: int,
+             unigram_cap: bool) -> np.ndarray:
+    """(len(hyps), k) mask of the candidates each hypothesis may point at
+    next: no repeated bigram and, under ``unigram_cap``, no third use."""
+    allowed = np.ones((len(hyps), k), dtype=bool)
+    for row, hyp in zip(allowed, hyps):
+        if not hyp.pointers:
+            continue
+        last = hyp.pointers[-1]
+        row[[b for a, b in hyp.bigrams if a == last]] = False
+        if unigram_cap:
+            row[np.bincount(hyp.pointers, minlength=k) >= 2] = False
+    return allowed
+
+
+class _PointerDecoder:
+    """Tape-free pointer decoding for one game.
+
+    Each hypothesis takes its own matrix-vector products rather than one
+    row of a stacked product, whose rounding depends on the row's place in
+    the stack: candidates that encode alike (names outside the vocabulary
+    all read as ``<unk>``) must tie exactly, so that the pointer order, not
+    the rounding, breaks the tie."""
+
+    def __init__(self, model: PlannerModel, candidate_token_seqs):
+        store = model.store
+        self.reps_c = _candidate_reps(
+            model, [model.token_ids(s) for s in candidate_token_seqs])
+        self.all_reps = np.concatenate([self.reps_c, store["eom"].data[None]])
+        self.k = self.reps_c.shape[0]
+        self.start = store["start"].data
+        self.W, self.b = store["dec.W"].data, store["dec.b"].data
+        self.W_b = store["W_b"].data
+
+    def root(self) -> BeamHypothesis:
+        h0 = self.reps_c.mean(axis=0)
+        return BeamHypothesis((), 0.0, h0, np.zeros_like(h0))
+
+    def step(self, hyps: list[BeamHypothesis]):
+        """New (h, c) and the distribution over candidates plus EOM, one row
+        per hypothesis."""
+        hs, cs, dists = [], [], []
+        for hyp in hyps:
+            x = self.reps_c[hyp.pointers[-1]] if hyp.pointers else self.start
+            h, c = _lstm_step_np(x, hyp.h, hyp.c, self.W, self.b)
+            hs.append(h)
+            cs.append(c)
+            dists.append(_softmax(self.all_reps @ (h @ self.W_b)))
+        return hs, cs, np.stack(dists)
 
 
 def infer_plan(candidate_token_seqs, model: PlannerModel, beam_size: int = 5,
@@ -264,42 +355,33 @@ def infer_plan(candidate_token_seqs, model: PlannerModel, beam_size: int = 5,
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
     max_len = max_len or model.hyper.max_plan_len
-    id_seqs = [model.token_ids(s) for s in candidate_token_seqs]
-    tape = Tape()
-    store = model.store
-    store.bind(tape)
-    reps_c = _forward_reps(tape, model, id_seqs)
-    all_reps = _reps_with_eom(tape, model, reps_c)
-    k = len(id_seqs)
+    dec = _PointerDecoder(model, candidate_token_seqs)
+    k = dec.k
 
-    h0 = reps_c.data.mean(axis=0)
-    beams = [BeamHypothesis((), 0.0, h0, np.zeros_like(h0))]
+    beams = [dec.root()]
     finished: list[BeamHypothesis] = []
     for _step in range(max_len + 1):
-        expansions: list[BeamHypothesis] = []
-        for hyp in beams:
-            x = store.t("start") if not hyp.pointers \
-                else tape.row(reps_c, hyp.pointers[-1])
-            h_t, c_t = lstm_step(tape, x, Tensor(hyp.h, tape), Tensor(hyp.c, tape),
-                                 store.t("dec.W"), store.t("dec.b"))
-            dist = pointer_step(tape, model, h_t, all_reps).data
-            for i in range(k + 1):
-                logp = hyp.logprob + float(np.log(max(dist[i], 1e-300)))
-                if i == k:
-                    if hyp.pointers:
-                        finished.append(BeamHypothesis(
-                            hyp.pointers, logp, h_t.data, c_t.data, True))
-                    continue
-                if _has_blocked_bigram(hyp.pointers, i):
-                    continue
-                if unigram_cap and hyp.pointers.count(i) >= 2:
-                    continue
-                expansions.append(BeamHypothesis(
-                    hyp.pointers + (i,), logp, h_t.data, c_t.data))
-        if not expansions:
+        h, c, dist = dec.step(beams)
+        logp = np.array([hyp.logprob for hyp in beams])[:, None] \
+            + np.log(np.maximum(dist, 1e-300))
+        for b, hyp in enumerate(beams):
+            if hyp.pointers:
+                finished.append(BeamHypothesis(
+                    hyp.pointers, float(logp[b, k]), h[b], c[b], True))
+        flat = np.where(_allowed(beams, k, unigram_cap), logp[:, :k],
+                        -np.inf).ravel()
+        n_allowed = int(np.isfinite(flat).sum())
+        if not n_allowed:
             break
-        expansions.sort(key=lambda b: (-b.logprob, b.pointers))
-        beams = expansions[:beam_size]
+        # every expansion scoring at least the beam_size-th best, ranked by
+        # (-logprob, pointers) so that ties break as a full sort would
+        m = min(beam_size, n_allowed)
+        kth = np.partition(flat, flat.size - m)[flat.size - m]
+        top = sorted(np.flatnonzero(flat >= kth).tolist(),
+                     key=lambda j: (-flat[j],
+                                    beams[j // k].pointers + (j % k,)))[:m]
+        beams = [beams[j // k].extend(j % k, float(flat[j]), h[j // k],
+                                      c[j // k]) for j in top]
 
     if finished:
         finished.sort(key=lambda b: (-b.score(), b.pointers))
@@ -318,38 +400,25 @@ def greedy_plan(candidate_token_seqs, model: PlannerModel,
                 max_len: int | None = None) -> MacroPlan:
     """Stepwise argmax decode under the same blocking constraints."""
     max_len = max_len or model.hyper.max_plan_len
-    id_seqs = [model.token_ids(s) for s in candidate_token_seqs]
-    tape = Tape()
-    store = model.store
-    store.bind(tape)
-    reps_c = _forward_reps(tape, model, id_seqs)
-    all_reps = _reps_with_eom(tape, model, reps_c)
-    k = len(id_seqs)
+    dec = _PointerDecoder(model, candidate_token_seqs)
+    k = dec.k
 
-    h = tape.tensor(reps_c.data.mean(axis=0))
-    c = tape.zeros(h.data.shape)
-    x = store.t("start")
-    pointers: tuple[int, ...] = ()
+    hyp = dec.root()
     for _step in range(max_len + 1):
-        h, c = lstm_step(tape, x, h, c, store.t("dec.W"), store.t("dec.b"))
-        dist = pointer_step(tape, model, h, all_reps).data.copy()
-        for i in range(k):
-            if _has_blocked_bigram(pointers, i):
-                dist[i] = -1.0
-            elif unigram_cap and pointers.count(i) >= 2:
-                dist[i] = -1.0
+        h, c, dist = dec.step([hyp])
+        dist = dist[0]
+        dist[:k][~_allowed([hyp], k, unigram_cap)[0]] = -1.0
         best = int(np.argmax(dist))
         if best == k:
-            if pointers:
-                return MacroPlan(pointers, terminated=True)
+            if hyp.pointers:
+                return MacroPlan(hyp.pointers, terminated=True)
             dist[k] = -1.0
             best = int(np.argmax(dist))
             if dist[best] < 0:
                 return MacroPlan((), terminated=False)
-        pointers = pointers + (best,)
-        x = tape.row(reps_c, best)
+        hyp = hyp.extend(best, 0.0, h[0], c[0])
     log.warning("greedy decode hit the plan length cap")
-    return MacroPlan(pointers, terminated=False)
+    return MacroPlan(hyp.pointers, terminated=False)
 
 
 def linearize(plan: MacroPlan, specs: list[ParagraphPlanSpec]) -> list[str]:

@@ -3,7 +3,8 @@ import pytest
 
 from macroplan.autodiff import Tape
 from macroplan.generator import (BOS, EOS, UNK, GeneratorHyper, GeneratorModel,
-                                 _copy_mask, _output_dists, _surface_dist,
+                                 _ExtendedVocab, _copy_mask, _decode_step_np,
+                                 _encode_plan_np, _output_dists,
                                  build_gen_vocab, decode_step, encode_plan,
                                  generate, instance_loss, train_generator)
 
@@ -66,10 +67,15 @@ class TestOutputMixture:
         assert 0.0 < p_copy < 1.0
         assert np.isclose(alpha.sum(), 1.0)
 
+    def _surface_dist(self, model):
+        p_gen, p_copy, alpha = self._forward(model)
+        ext = _ExtendedVocab(model, PLAN)
+        dist = ext.mix(p_gen[None], np.array([p_copy]), alpha[None])[0]
+        return dict(zip(ext.surfaces, dist)), p_gen, p_copy, alpha
+
     def test_surface_mixture_sums_to_one_minus_dropped(self):
         model = tiny_model()
-        p_gen, p_copy, alpha = self._forward(model)
-        dist = _surface_dist(model, PLAN, p_gen, p_copy, alpha)
+        dist, p_gen, p_copy, alpha = self._surface_dist(model)
         # total mass = 1 minus the pruned UNK/BOS generation mass
         dropped = (1 - p_copy) * (p_gen[model.vocab[UNK]] +
                                   p_gen[model.vocab[BOS]])
@@ -78,12 +84,30 @@ class TestOutputMixture:
 
     def test_copy_surfaces_stripped_tokens(self):
         model = tiny_model()
+        dist, p_gen, p_copy, alpha = self._surface_dist(model)
+        # copy contribution lands on the stripped surfaces, added to the
+        # generation mass of the same surface
+        assert dist["9"] == pytest.approx(
+            (1 - p_copy) * p_gen[model.vocab["9"]] + p_copy * alpha[1])
+        assert dist["C.Mullins"] == pytest.approx(p_copy * alpha[3])
+        assert "<TR>9" in dist  # the vocabulary token itself stays
+
+    def test_surfaces_sorted_by_rank(self):
+        ext = _ExtendedVocab(tiny_model(), PLAN)
+        assert ext.surfaces == sorted(ext.surfaces)
+        assert len(set(ext.surfaces)) == len(ext.surfaces)
+
+    def test_tape_free_step_matches_tape(self):
+        model = tiny_model()
+        ids = [model.token_id(t) for t in PLAN]
         p_gen, p_copy, alpha = self._forward(model)
-        dist = _surface_dist(model, PLAN, p_gen, p_copy, alpha)
-        # copy contribution lands on the stripped surfaces
-        gen_part = (1 - p_copy) * p_gen[model.vocab["<TR>9"]]
-        assert dist["9"] >= p_copy * alpha[1] - 1e-12
-        assert "C.Mullins" in dist
+        S, h0, c0 = _encode_plan_np(model, ids)
+        *_, g, pc, a = _decode_step_np(model, S,
+                                       np.array([model.token_id(BOS)]),
+                                       h0[None], c0[None])
+        assert np.array_equal(g[0], p_gen)
+        assert pc[0] == p_copy
+        assert np.array_equal(a[0], alpha)
 
 
 class TestCopyMask:

@@ -3,8 +3,8 @@ import pytest
 
 from macroplan.autodiff import Tape
 from macroplan.nn import ParamStore, bilstm_encode
-from macroplan.planner import (MacroPlan, PlannerHyper, PlannerModel,
-                               _has_blocked_bigram, build_vocab,
+from macroplan.planner import (BeamHypothesis, MacroPlan, PlannerHyper,
+                               PlannerModel, _allowed, build_vocab,
                                contextualize, encode_candidates,
                                greedy_plan, infer_plan, instance_loss,
                                linearize, pointer_step, train_planner)
@@ -188,16 +188,35 @@ class TestTraining:
             assert np.array_equal(p.data, m2.store[name].data)
 
 
+def _hyp(*pointers):
+    hyp = BeamHypothesis((), 0.0, None, None)
+    for i in pointers:
+        hyp = hyp.extend(i, 0.0, None, None)
+    return hyp
+
+
+def _is_blocked(prefix, nxt, k=5, unigram_cap=False):
+    return not _allowed([_hyp(*prefix)], k, unigram_cap)[0, nxt]
+
+
 class TestBigramBlocking:
     def test_no_prefix(self):
-        assert not _has_blocked_bigram((), 3)
+        assert not _is_blocked((), 3)
 
     def test_repeat_bigram_blocked(self):
-        assert _has_blocked_bigram((1, 2, 1), 2)
+        assert _is_blocked((1, 2, 1), 2)
 
     def test_fresh_bigram_allowed(self):
-        assert not _has_blocked_bigram((1, 2, 1), 3)
-        assert not _has_blocked_bigram((1, 2), 1)
+        assert not _is_blocked((1, 2, 1), 3)
+        assert not _is_blocked((1, 2), 1)
+
+    def test_hypothesis_carries_its_bigrams(self):
+        assert _hyp(1, 2, 1, 3).bigrams == {(1, 2), (2, 1), (1, 3)}
+
+    def test_unigram_cap_blocks_third_use(self):
+        assert _is_blocked((1, 2, 1, 3), 1, unigram_cap=True)
+        assert not _is_blocked((1, 2, 1, 3), 1, unigram_cap=False)
+        assert not _is_blocked((1, 2, 3), 1, unigram_cap=True)
 
 
 class TestInference:
