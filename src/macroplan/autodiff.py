@@ -22,9 +22,6 @@ class Tape:
     def __init__(self):
         self.nodes: list = []
 
-    def add(self, fn) -> None:
-        self.nodes.append(fn)
-
     def _record(self, out: "Tensor", fn) -> None:
         def guarded():
             if out.grad is not None:
@@ -37,6 +34,9 @@ class Tape:
         loss.grad = np.ones_like(loss.data)
         for fn in reversed(self.nodes):
             fn()
+        # the closures hold their output tensors, which hold this tape:
+        # dropping them lets refcounting free the tape and its arrays
+        self.nodes = []
 
     # --- construction -----------------------------------------------------
 
@@ -301,7 +301,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "tape")
+    __slots__ = ("data", "grad", "tape", "__weakref__")
 
     def __init__(self, data: np.ndarray, tape: Tape):
         self.data = np.asarray(data, dtype=np.float64)

@@ -258,17 +258,6 @@ def resolve_half(inning: int, mentions: list[EntityMention], game: Game) -> str:
 # Macro plan derivation
 
 
-@dataclass(frozen=True)
-class DerivedPlan:
-    specs: tuple[ParagraphPlanSpec, ...]
-
-    def pointer_sequence(self) -> list[int]:
-        return list(range(len(self.specs)))
-
-    def identifiers(self) -> list[str]:
-        return [ident for s in self.specs for ident in s.identifiers()]
-
-
 def derive_macro_plan(game: Game, aliases: AliasTable,
                       lexicon: InningLexicon = DEFAULT_INNING_LEXICON,
                       inning_classifier=None):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -265,3 +268,19 @@ class TestTapeMechanics:
         loss = tape.sum(tape.add(x, x))
         tape.backward(loss)
         assert np.allclose(x.grad, 2.0)
+
+    def test_backward_frees_tape_without_cycle_collector(self):
+        # after backward nothing but the caller holds the tape, so it and
+        # its tensors go as soon as the last reference does
+        gc.disable()
+        try:
+            tape = Tape()
+            x = tape.tensor(np.ones(3))
+            loss = tape.sum(tape.tanh(tape.mul(x, x)))
+            inner = weakref.ref(loss)
+            tape.backward(loss)
+            assert np.allclose(x.grad, 2 * (1 - np.tanh(1.0) ** 2))
+            del tape, loss
+            assert inner() is None
+        finally:
+            gc.enable()
