@@ -7,10 +7,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -191,13 +189,6 @@ def _require(out: Path, stage: str, *names: str) -> list[Path]:
                 f"the producing stage first")
         paths.append(p)
     return paths
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("MACROPLAN_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _save_model(out: Path, prefix: str, store, vocab: dict,
@@ -410,14 +401,12 @@ def stage_generate(cfg: RunConfig, out: Path) -> None:
     model, bpe_model = _load_generator(cfg, out, "generate")
     plans = read_plan_file(pred_path, games)
 
-    def one(game: Game):
+    results = []
+    for game in games:
         specs = plans[game.id]
         plan = MacroPlan(tuple(range(len(specs))))
         tokens = generate(linearize(plan, specs), model, beam_size=cfg.beam)
-        return game.id, _summary_from_tokens(bpe_model, tokens)
-
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        results = list(pool.map(one, games))
+        results.append((game.id, _summary_from_tokens(bpe_model, tokens)))
 
     jsonl, flat, readable = [], [], []
     for game_id, doc in results:
@@ -456,12 +445,8 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> None:
     lexicon = cfg.extraction_lexicon()
     inning_lex = cfg.inning_lexicon()
 
-    def fidelity(game_id):
-        return plan_fidelity(docs[game_id], plans[game_id], by_id[game_id],
-                             aliases, lexicon=inning_lex)
-
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        fid = list(pool.map(fidelity, ids))
+    fid = [plan_fidelity(docs[i], plans[i], by_id[i], aliases,
+                         lexicon=inning_lex) for i in ids]
     fid_cs = sum(f for f, _ in fid) / len(fid) if fid else 100.0
     fid_co = sum(c for _, c in fid) / len(fid) if fid else 100.0
 

@@ -126,18 +126,6 @@ class TestStages:
         assert set(manifest) >= {"synth", "derive-plans"}
 
 
-def test_threads_env_var(monkeypatch):
-    from macroplan.cli import _threads
-    monkeypatch.delenv("MACROPLAN_THREADS", raising=False)
-    assert _threads() == 1
-    monkeypatch.setenv("MACROPLAN_THREADS", "4")
-    assert _threads() == 4
-    monkeypatch.setenv("MACROPLAN_THREADS", "junk")
-    assert _threads() == 1
-    monkeypatch.setenv("MACROPLAN_THREADS", "-2")
-    assert _threads() == 1
-
-
 def test_main_cli_smoke(tmp_path, capsys):
     from macroplan.cli import main
     cfg_path = tmp_path / "cfg.json"
