@@ -29,6 +29,8 @@ __all__ = [
 UNK = "<unk>"
 BOS = "<s>"
 EOS = "</s>"
+#: surfaces the decoder never emits; "" is the marker-stripped ``<P>``
+NEVER_EMITTED = frozenset({UNK, BOS, ""})
 
 
 @dataclass(frozen=True)
@@ -249,22 +251,21 @@ def _decode_step_np(model: GeneratorModel, S: np.ndarray,
 
 class _ExtendedVocab:
     """The surfaces one plan's decoder can emit: every vocabulary token and
-    every marker-stripped plan token, less ``<unk>`` and ``<s>``.  Surfaces
+    every marker-stripped plan token, less :data:`NEVER_EMITTED`.  Surfaces
     are sorted, so an index is also the surface's lexicographic rank."""
 
     def __init__(self, model: GeneratorModel, plan_tokens: list[str]):
-        dropped = (UNK, BOS)
         plan_surfaces = [strip_marker(t) for t in plan_tokens]
         self.surfaces = sorted(
-            {t for t in model.vocab if t not in dropped}
-            | {s for s in plan_surfaces if s not in dropped})
+            {t for t in model.vocab if t not in NEVER_EMITTED}
+            | {s for s in plan_surfaces if s not in NEVER_EMITTED})
         index = {s: i for i, s in enumerate(self.surfaces)}
         gen = [(i, index[t]) for t, i in model.vocab.items()
-               if t not in dropped]
+               if t not in NEVER_EMITTED]
         self.gen_src = np.array([i for i, _ in gen], dtype=np.int64)
         self.gen_dst = np.array([j for _, j in gen], dtype=np.int64)
         copy = [(pos, index[s]) for pos, s in enumerate(plan_surfaces)
-                if s not in dropped]
+                if s not in NEVER_EMITTED]
         self.copy_pos = np.array([p for p, _ in copy], dtype=np.int64)
         self.copy_dst = np.array([j for _, j in copy], dtype=np.int64)
         #: decoder input id of each surface once emitted
@@ -277,7 +278,8 @@ class _ExtendedVocab:
         """(B, surfaces) generate/copy mixture: ``(1-pc) * p_gen`` scattered
         into place, then the copy mass added in plan position order."""
         dist = np.zeros((p_gen.shape[0], len(self.surfaces)))
-        dist[:, self.gen_dst] = ((1.0 - p_copy)[:, None] * p_gen)[:, self.gen_src]
+        gen = (1.0 - p_copy)[:, None] * p_gen
+        dist[:, self.gen_dst] = gen[:, self.gen_src]
         rows = np.arange(p_gen.shape[0])[:, None]
         np.add.at(dist, (rows, self.copy_dst[None, :]),
                   p_copy[:, None] * alpha[:, self.copy_pos])
@@ -321,7 +323,8 @@ def generate(plan_tokens: list[str], model: GeneratorModel,
     max_len = model.hyper.max_len if max_len is None else max_len
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
-    S, h0, c0 = _encode_plan_np(model, [model.token_id(t) for t in plan_tokens])
+    S, h0, c0 = _encode_plan_np(model,
+                                [model.token_id(t) for t in plan_tokens])
     ext = _ExtendedVocab(model, plan_tokens)
 
     beams = [_Hyp((), 0.0, h0, c0, model.token_id(BOS))]
@@ -333,7 +336,8 @@ def generate(plan_tokens: list[str], model: GeneratorModel,
             np.stack([hyp.c for hyp in beams]))
         dist = ext.mix(p_gen, p_copy, alpha)
         expansions: list[_Hyp] = []
-        for b, (hyp, top) in enumerate(zip(beams, _top_k(dist, beam_size + 1))):
+        tops = _top_k(dist, beam_size + 1)
+        for b, (hyp, top) in enumerate(zip(beams, tops)):
             for j in top.tolist():
                 logp = hyp.logprob + float(np.log(max(dist[b, j], 1e-300)))
                 if j == ext.eos:

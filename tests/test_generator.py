@@ -76,11 +76,13 @@ class TestOutputMixture:
     def test_surface_mixture_sums_to_one_minus_dropped(self):
         model = tiny_model()
         dist, p_gen, p_copy, alpha = self._surface_dist(model)
-        # total mass = 1 minus the pruned UNK/BOS generation mass
+        # total mass = 1 minus the pruned UNK/BOS generation mass and the
+        # copy mass of the <P> separator, whose surface is empty
         dropped = (1 - p_copy) * (p_gen[model.vocab[UNK]] +
-                                  p_gen[model.vocab[BOS]])
+                                  p_gen[model.vocab[BOS]]) \
+            + p_copy * alpha[PLAN.index("<P>")]
         assert sum(dist.values()) == pytest.approx(1.0 - dropped)
-        assert UNK not in dist and BOS not in dist
+        assert UNK not in dist and BOS not in dist and "" not in dist
 
     def test_copy_surfaces_stripped_tokens(self):
         model = tiny_model()
@@ -221,6 +223,16 @@ class TestGenerate:
         model = tiny_model()
         out = generate(PLAN, model, beam_size=2, max_len=5)
         assert len(out) <= 5
+
+    @pytest.mark.parametrize("beam", [1, 2, 3])
+    def test_separator_copy_never_emits_empty_token(self, beam):
+        # the <P> separator is the plan's only position, and the copy gate
+        # is all but fully open: every step puts nearly all its mass on
+        # the separator's empty surface, which must never come out
+        model = tiny_model()
+        model.store["b_copy"].data = np.asarray(50.0)
+        out = generate(["<P>"], model, beam_size=beam, max_len=8)
+        assert out and "" not in out
 
     def test_bad_beam_size(self):
         with pytest.raises(ValueError):

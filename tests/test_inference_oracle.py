@@ -134,7 +134,7 @@ def _surface_dist(model, plan_tokens, p_gen, p_copy, alpha, dropped):
 
 
 def oracle_generate(plan_tokens, model, beam_size=None, max_len=None,
-                    dropped=(UNK, BOS)):
+                    dropped=(UNK, BOS, "")):
     """``dropped``: the surfaces never emitted."""
     beam_size = model.hyper.beam_size if beam_size is None else beam_size
     max_len = model.hyper.max_len if max_len is None else max_len
