@@ -1,10 +1,10 @@
 """The tape-free beam searches against the tape-based ones they replaced.
 
 The oracles below are the earlier ``infer_plan``, ``greedy_plan`` and
-``generate``, kept verbatim apart from names: they run every step on an
+``generate`` with the same arithmetic and ranking: they run every step on an
 autodiff tape, one hypothesis at a time, and rank the generator's output with
-a dictionary over the whole vocabulary sorted per hypothesis.  The
-new searches must return exactly what they return.
+a dictionary over the whole vocabulary sorted per hypothesis.  The new
+searches must return exactly what they return.
 """
 
 import numpy as np
