@@ -368,14 +368,13 @@ def infer_plan(candidate_token_seqs, model: PlannerModel, beam_size: int = 5,
             if hyp.pointers:
                 finished.append(BeamHypothesis(
                     hyp.pointers, float(logp[b, k]), h[b], c[b], True))
-        flat = np.where(_allowed(beams, k, unigram_cap), logp[:, :k],
-                        -np.inf).ravel()
-        n_allowed = int(np.isfinite(flat).sum())
-        if not n_allowed:
+        allowed = _allowed(beams, k, unigram_cap)
+        if not allowed.any():
             break
+        flat = np.where(allowed, logp[:, :k], -np.inf).ravel()
         # every expansion scoring at least the beam_size-th best, ranked by
         # (-logprob, pointers) so that ties break as a full sort would
-        m = min(beam_size, n_allowed)
+        m = min(beam_size, int(allowed.sum()))
         kth = np.partition(flat, flat.size - m)[flat.size - m]
         top = sorted(np.flatnonzero(flat >= kth).tolist(),
                      key=lambda j: (-flat[j],

