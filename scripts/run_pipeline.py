@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from macroplan.cli import STAGES, RunConfig, run
+from macroplan.cli import RunConfig, run
 
 ORDER = ["synth", "derive-plans", "enumerate", "train-planner",
          "train-generator", "plan", "generate", "evaluate"]

@@ -9,13 +9,12 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import bpe as bpe_mod
-from .baselines import templ_summary
 from .candidates import augment_with_gold, enumerate_candidates
 from .data import (AliasTable, Game, SummaryDoc, SYNTH_SCHEMA,
                    load_alias_table, load_games, save_games)

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import json
-import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 __all__ = [
     "RecordSchema",

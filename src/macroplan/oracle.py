@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .data import AliasTable, Game, numeric_value, tokenize
 from .verbalize import ParagraphPlanSpec, verbalize_plan
