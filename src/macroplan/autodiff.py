@@ -3,13 +3,18 @@
 A Tape records backward closures as ops execute; ``Tape.backward`` replays
 them in reverse.  Ops support 1-D vectors and 2-D (batch, dim) arrays, which
 is all the planner and generator architectures need.
+
+``NO_GRAD`` evaluates the same ops, the subset the models use, on plain
+arrays and records nothing.  The models' forward functions take a tape or
+``NO_GRAD`` as their ``tape`` argument, so training and inference run one
+definition of each model.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tape", "Tensor", "ShapeError"]
+__all__ = ["Tape", "Tensor", "ShapeError", "NoGrad", "NO_GRAD"]
 
 
 class ShapeError(ValueError):
@@ -32,11 +37,11 @@ class Tape:
         if loss.data.size != 1:
             raise ShapeError("backward requires a scalar loss")
         loss.grad = np.ones_like(loss.data)
-        for fn in reversed(self.nodes):
-            fn()
         # the closures hold their output tensors, which hold this tape:
-        # dropping them lets refcounting free the tape and its arrays
-        self.nodes = []
+        # popping each as it runs frees its tensor and that tensor's
+        # gradient once no earlier node reads them, and leaves no cycle
+        while self.nodes:
+            self.nodes.pop()()
 
     # --- construction -----------------------------------------------------
 
@@ -45,6 +50,10 @@ class Tape:
 
     def zeros(self, shape) -> "Tensor":
         return Tensor(np.zeros(shape, dtype=np.float64), self)
+
+    def param(self, store, name: str) -> "Tensor":
+        """The leaf that ``store.bind(self)`` made for parameter ``name``."""
+        return store.t(name)
 
     # --- primitive ops ----------------------------------------------------
 
@@ -117,7 +126,7 @@ class Tape:
         return out
 
     def sigmoid(self, a: "Tensor") -> "Tensor":
-        y = 1.0 / (1.0 + np.exp(-a.data))
+        y = NoGrad.sigmoid(a.data)
         out = Tensor(y, self)
 
         def backward():
@@ -137,12 +146,7 @@ class Tape:
     def softmax(self, a: "Tensor", axis: int = -1, mask=None) -> "Tensor":
         """Softmax along ``axis``; optional boolean ``mask`` (False entries get
         zero probability and no gradient)."""
-        logits = a.data
-        if mask is not None:
-            logits = np.where(mask, logits, -1e30)
-        shifted = logits - logits.max(axis=axis, keepdims=True)
-        ex = np.exp(shifted)
-        y = ex / ex.sum(axis=axis, keepdims=True)
+        y = NoGrad.softmax(a.data, axis, mask)
         out = Tensor(y, self)
 
         def backward():
@@ -288,6 +292,63 @@ class Tape:
             probs.accum(g)
         self._record(out, backward)
         return out
+
+
+class NoGrad:
+    """The forward of the :class:`Tape` ops the models use, on plain arrays:
+    nothing is recorded and no gradient is kept."""
+
+    __slots__ = ()
+
+    zeros = staticmethod(np.zeros)
+    matmul = staticmethod(np.matmul)
+    add = staticmethod(np.add)
+    mul = staticmethod(np.multiply)
+    tanh = staticmethod(np.tanh)
+    transpose = staticmethod(np.transpose)
+    stack_rows = staticmethod(np.stack)
+
+    @staticmethod
+    def param(store, name: str) -> np.ndarray:
+        return store[name].data
+
+    @staticmethod
+    def sigmoid(a):
+        return 1.0 / (1.0 + np.exp(-a))
+
+    @staticmethod
+    def softmax(a, axis: int = -1, mask=None):
+        if mask is not None:
+            a = np.where(mask, a, -1e30)
+        ex = np.exp(a - a.max(axis=axis, keepdims=True))
+        return ex / ex.sum(axis=axis, keepdims=True)
+
+    @staticmethod
+    def concat(parts, axis: int = -1):
+        return np.concatenate(parts, axis=axis)
+
+    @staticmethod
+    def stack_cols(cols):
+        return np.stack(cols, axis=1)
+
+    @staticmethod
+    def slice_last(a, start: int, stop: int):
+        return a[..., start:stop]
+
+    @staticmethod
+    def row(a, i: int):
+        return a[i]
+
+    @staticmethod
+    def column(a, j: int, keepdims: bool = True):
+        return a[:, j:j + 1] if keepdims else a[:, j]
+
+    @staticmethod
+    def gather_rows(table, indices):
+        return table[np.asarray(indices, dtype=np.int64)]
+
+
+NO_GRAD = NoGrad()
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Tensor
-from .nn import (ParamStore, _bilstm_np, _lstm_step_np, _sigmoid, _softmax,
-                 adagrad_step, bilstm_encode, lstm_step)
+from .autodiff import NO_GRAD, NoGrad, Tape, Tensor
+from .nn import ParamStore, adagrad_step, bilstm_encode, lstm_step
 from .verbalize import strip_marker
 
 log = logging.getLogger(__name__)
@@ -93,51 +92,59 @@ def build_gen_vocab(pairs) -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Forward pieces
+# Forward pieces: each runs under a Tape for training and under NO_GRAD for
+# inference
 
 
-def encode_plan(tape: Tape, model: GeneratorModel, plan_ids: list[int]):
+def encode_plan(tape: Tape | NoGrad, model: GeneratorModel,
+                plan_ids: list[int]):
     """Returns (encoder states (L, n), initial decoder h, initial c)."""
     if not plan_ids:
         raise ValueError("cannot encode an empty plan")
     store = model.store
-    emb = store.t("emb")
+    emb = tape.param(store, "emb")
     inputs = [tape.row(emb, i) for i in plan_ids]
-    states = bilstm_encode(tape, inputs, store.t("enc_f.W"), store.t("enc_f.b"),
-                           store.t("enc_b.W"), store.t("enc_b.b"),
-                           model.hyper.hidden)
+    states = bilstm_encode(
+        tape, inputs, tape.param(store, "enc_f.W"),
+        tape.param(store, "enc_f.b"), tape.param(store, "enc_b.W"),
+        tape.param(store, "enc_b.b"), model.hyper.hidden)
     S = tape.stack_rows(states)
     hidden = model.hyper.hidden
     fwd_last = tape.slice_last(states[-1], 0, hidden)
     bwd_first = tape.slice_last(states[0], hidden, 2 * hidden)
     h0 = tape.tanh(tape.matmul(tape.concat([fwd_last, bwd_first], axis=0),
-                               store.t("W_init")))
-    c0 = tape.zeros(h0.data.shape)
+                               tape.param(store, "W_init")))
+    c0 = tape.zeros(h0.shape)
     return S, h0, c0
 
 
-def decode_step(tape: Tape, model: GeneratorModel, S: Tensor, prev_id: int,
-                h: Tensor, c: Tensor):
-    """One decoder step.  Returns (h, c, combined state, attention weights)."""
+def decode_step(tape: Tape | NoGrad, model: GeneratorModel, S, prev_id,
+                h, c):
+    """One decoder step, for one hypothesis (``prev_id`` an id, ``h`` and
+    ``c`` (n,)) or a stack of them (``prev_id`` (B,) ids, ``h`` and ``c``
+    (B, n)).  Returns (h, c, combined state, attention weights)."""
     store = model.store
-    x = tape.row(store.t("emb"), prev_id)
-    h, c = lstm_step(tape, x, h, c, store.t("dec.W"), store.t("dec.b"))
-    logits = tape.matmul(S, tape.matmul(h, store.t("W_att")))
-    alpha = tape.softmax(logits, axis=0)
+    x = tape.gather_rows(tape.param(store, "emb"), prev_id)
+    h, c = lstm_step(tape, x, h, c, tape.param(store, "dec.W"),
+                     tape.param(store, "dec.b"))
+    logits = tape.matmul(tape.matmul(h, tape.param(store, "W_att")),
+                         tape.transpose(S))
+    alpha = tape.softmax(logits, axis=-1)
     ctx = tape.matmul(alpha, S)
-    comb = tape.tanh(tape.add(tape.matmul(tape.concat([h, ctx], axis=0),
-                                          store.t("W_comb")),
-                              store.t("b_comb")))
+    comb = tape.tanh(tape.add(tape.matmul(tape.concat([h, ctx], axis=-1),
+                                          tape.param(store, "W_comb")),
+                              tape.param(store, "b_comb")))
     return h, c, comb, alpha
 
 
-def _output_dists(tape: Tape, model: GeneratorModel, comb: Tensor):
+def _output_dists(tape: Tape | NoGrad, model: GeneratorModel, comb):
     """Vocabulary distribution and copy-gate probability."""
     store = model.store
-    p_gen = tape.softmax(tape.add(tape.matmul(comb, store.t("W_out")),
-                                  store.t("b_out")), axis=0)
-    p_copy = tape.sigmoid(tape.add(tape.matmul(comb, store.t("w_copy")),
-                                   store.t("b_copy")))
+    p_gen = tape.softmax(tape.add(tape.matmul(comb, tape.param(store, "W_out")),
+                                  tape.param(store, "b_out")), axis=-1)
+    p_copy = tape.sigmoid(tape.add(tape.matmul(comb,
+                                               tape.param(store, "w_copy")),
+                                   tape.param(store, "b_copy")))
     return p_gen, p_copy
 
 
@@ -217,38 +224,6 @@ def train_generator(pairs, hyper: GeneratorHyper
 # Inference
 
 
-def _encode_plan_np(model: GeneratorModel, plan_ids: list[int]):
-    """Tape-free :func:`encode_plan`: (encoder states (L, n), h0, c0)."""
-    if not plan_ids:
-        raise ValueError("cannot encode an empty plan")
-    store = model.store
-    hidden = model.hyper.hidden
-    S = np.stack(_bilstm_np(store["emb"].data[plan_ids],
-                            store["enc_f.W"].data, store["enc_f.b"].data,
-                            store["enc_b.W"].data, store["enc_b.b"].data,
-                            hidden))
-    h0 = np.tanh(np.concatenate([S[-1, :hidden], S[0, hidden:]])
-                 @ store["W_init"].data)
-    return S, h0, np.zeros_like(h0)
-
-
-def _decode_step_np(model: GeneratorModel, S: np.ndarray,
-                    prev_ids: np.ndarray, h: np.ndarray, c: np.ndarray):
-    """Tape-free :func:`decode_step` followed by the output distributions,
-    for a stack of hypotheses: (h, c, p_gen, p_copy, alpha), one row each."""
-    store = model.store
-    h, c = _lstm_step_np(store["emb"].data[prev_ids], h, c,
-                         store["dec.W"].data, store["dec.b"].data)
-    alpha = _softmax((h @ store["W_att"].data) @ S.T, axis=1)
-    ctx = alpha @ S
-    comb = np.tanh(np.concatenate([h, ctx], axis=1) @ store["W_comb"].data
-                   + store["b_comb"].data)
-    p_gen = _softmax(comb @ store["W_out"].data + store["b_out"].data,
-                     axis=1)
-    p_copy = _sigmoid(comb @ store["w_copy"].data + store["b_copy"].data)
-    return h, c, p_gen, p_copy, alpha
-
-
 class _ExtendedVocab:
     """The surfaces one plan's decoder can emit: every vocabulary token and
     every marker-stripped plan token, less :data:`NEVER_EMITTED`.  Surfaces
@@ -323,17 +298,18 @@ def generate(plan_tokens: list[str], model: GeneratorModel,
     max_len = model.hyper.max_len if max_len is None else max_len
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
-    S, h0, c0 = _encode_plan_np(model,
-                                [model.token_id(t) for t in plan_tokens])
+    S, h0, c0 = encode_plan(NO_GRAD, model,
+                            [model.token_id(t) for t in plan_tokens])
     ext = _ExtendedVocab(model, plan_tokens)
 
     beams = [_Hyp((), 0.0, h0, c0, model.token_id(BOS))]
     finished: list[_Hyp] = []
     for _step in range(max_len):
-        h, c, p_gen, p_copy, alpha = _decode_step_np(
-            model, S, np.array([hyp.prev for hyp in beams]),
+        h, c, comb, alpha = decode_step(
+            NO_GRAD, model, S, np.array([hyp.prev for hyp in beams]),
             np.stack([hyp.h for hyp in beams]),
             np.stack([hyp.c for hyp in beams]))
+        p_gen, p_copy = _output_dists(NO_GRAD, model, comb)
         dist = ext.mix(p_gen, p_copy, alpha)
         expansions: list[_Hyp] = []
         tops = _top_k(dist, beam_size + 1)

@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 
-from .autodiff import ShapeError, Tape, Tensor
+from .autodiff import NoGrad, ShapeError, Tape, Tensor
 
 __all__ = [
     "Parameter",
@@ -86,34 +86,36 @@ class ParamStore:
                 if t.grad is not None}
 
 
-def lstm_step(tape: Tape, x: Tensor, h: Tensor, c: Tensor,
-              W: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
+def lstm_step(tape: Tape | NoGrad, x, h, c, W, b):
     """One step of a fused-gate LSTM; gate order i, f, o, g along the last axis.
 
-    ``x`` is (B, in) or (in,); ``h``/``c`` match with hidden width H.
+    ``x`` is (B, in) or (in,); ``h``/``c`` match with hidden width H.  Under
+    a tape the arguments are its tensors, under ``NO_GRAD`` plain arrays.
+    Returns (h, c).
     """
-    hidden = h.data.shape[-1]
-    if W.data.shape != (x.data.shape[-1] + hidden, 4 * hidden):
+    hidden = h.shape[-1]
+    if W.shape != (x.shape[-1] + hidden, 4 * hidden):
         raise ShapeError(
-            f"lstm_step: weight shape {W.data.shape} does not match "
-            f"input {x.data.shape} / hidden {hidden}")
+            f"lstm_step: weight shape {W.shape} does not match "
+            f"input {x.shape} / hidden {hidden}")
     z = tape.add(tape.matmul(tape.concat([x, h], axis=-1), W), b)
-    i = tape.sigmoid(tape.slice_last(z, 0, hidden))
-    f = tape.sigmoid(tape.slice_last(z, hidden, 2 * hidden))
-    o = tape.sigmoid(tape.slice_last(z, 2 * hidden, 3 * hidden))
+    # one sigmoid over the i, f, o gates: elementwise, so it rounds as three
+    ifo = tape.sigmoid(tape.slice_last(z, 0, 3 * hidden))
+    i = tape.slice_last(ifo, 0, hidden)
+    f = tape.slice_last(ifo, hidden, 2 * hidden)
+    o = tape.slice_last(ifo, 2 * hidden, 3 * hidden)
     g = tape.tanh(tape.slice_last(z, 3 * hidden, 4 * hidden))
     c_new = tape.add(tape.mul(f, c), tape.mul(i, g))
     h_new = tape.mul(o, tape.tanh(c_new))
     return h_new, c_new
 
 
-def bilstm_encode(tape: Tape, seq: list[Tensor], W_f: Tensor, b_f: Tensor,
-                  W_b: Tensor, b_b: Tensor, hidden: int) -> list[Tensor]:
+def bilstm_encode(tape: Tape | NoGrad, seq: list, W_f, b_f, W_b, b_b,
+                  hidden: int) -> list:
     """Per-position concat of forward and backward hidden states (width 2H)."""
     if not seq:
         raise ValueError("bilstm_encode: empty sequence")
-    batchless = seq[0].data.ndim == 1
-    state_shape = (hidden,) if batchless else (seq[0].data.shape[0], hidden)
+    state_shape = seq[0].shape[:-1] + (hidden,)
 
     def run(inputs, W, b):
         h, c = tape.zeros(state_shape), tape.zeros(state_shape)
@@ -126,56 +128,6 @@ def bilstm_encode(tape: Tape, seq: list[Tensor], W_f: Tensor, b_f: Tensor,
     fwd = run(seq, W_f, b_f)
     bwd = run(list(reversed(seq)), W_b, b_b)[::-1]
     return [tape.concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
-
-
-# ---------------------------------------------------------------------------
-# Tape-free forward helpers for inference: the same elementwise formulas as
-# the tape ops, on plain arrays.
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
-
-
-def _softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=axis, keepdims=True)
-
-
-def _lstm_step_np(x: np.ndarray, h: np.ndarray, c: np.ndarray,
-                  W: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tape-free :func:`lstm_step` on plain arrays, for inference: the same
-    ``[x;h] @ W + b`` product and gate slices, and no gradient."""
-    hidden = h.shape[-1]
-    z = np.concatenate([x, h], axis=-1) @ W + b
-    # elementwise, so one call over the three sigmoid gates rounds as three
-    ifo = _sigmoid(z[..., :3 * hidden])
-    i, f, o = (ifo[..., :hidden], ifo[..., hidden:2 * hidden],
-               ifo[..., 2 * hidden:])
-    c_new = f * c + i * np.tanh(z[..., 3 * hidden:])
-    return o * np.tanh(c_new), c_new
-
-
-def _bilstm_np(inputs, W_f: np.ndarray, b_f: np.ndarray, W_b: np.ndarray,
-               b_b: np.ndarray, hidden: int) -> list[np.ndarray]:
-    """Tape-free :func:`bilstm_encode` over a sequence of (B, in) or (in,)
-    arrays: per-position concat of forward and backward states."""
-    if len(inputs) == 0:
-        raise ValueError("bilstm_encode: empty sequence")
-    state_shape = inputs[0].shape[:-1] + (hidden,)
-
-    def run(seq, W, b):
-        h = c = np.zeros(state_shape)
-        states = []
-        for x in seq:
-            h, c = _lstm_step_np(x, h, c, W, b)
-            states.append(h)
-        return states
-
-    fwd = run(inputs, W_f, b_f)
-    bwd = run(inputs[::-1], W_b, b_b)[::-1]
-    return [np.concatenate([f, b], axis=-1) for f, b in zip(fwd, bwd)]
 
 
 def adagrad_step(store: ParamStore, lr: float,

@@ -8,9 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Tensor
-from .nn import (ParamStore, _bilstm_np, _lstm_step_np, _sigmoid, _softmax,
-                 adagrad_step, bilstm_encode, lstm_step)
+from .autodiff import NO_GRAD, NoGrad, Tape, Tensor
+from .nn import ParamStore, adagrad_step, bilstm_encode, lstm_step
 from .verbalize import PARAGRAPH_SEP, ParagraphPlanSpec
 
 log = logging.getLogger(__name__)
@@ -96,11 +95,12 @@ def build_vocab(token_seqs) -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Forward pieces
+# Forward pieces: each runs under a Tape for training and under NO_GRAD for
+# inference
 
 
-def encode_candidates(tape: Tape, model: PlannerModel,
-                      id_seqs: list[list[int]]) -> Tensor:
+def encode_candidates(tape: Tape | NoGrad, model: PlannerModel,
+                      id_seqs: list[list[int]]):
     """Attention-pooled BiLSTM representations, one row per candidate (K, n).
 
     Sequences of equal length are encoded as a batch.
@@ -109,19 +109,21 @@ def encode_candidates(tape: Tape, model: PlannerModel,
         raise ValueError("cannot encode an empty candidate")
     store = model.store
     hidden = model.hyper.hidden
-    emb = store.t("emb")
-    d = store.t("query_d")
+    emb = tape.param(store, "emb")
+    d = tape.param(store, "query_d")
 
     by_len: dict[int, list[int]] = {}
     for idx, seq in enumerate(id_seqs):
         by_len.setdefault(len(seq), []).append(idx)
 
-    pooled: dict[int, Tensor] = {}
+    pooled = {}
     for length, members in sorted(by_len.items()):
         ids = np.array([id_seqs[i] for i in members], dtype=np.int64)  # (B, T)
         inputs = [tape.gather_rows(emb, ids[:, t]) for t in range(length)]
-        states = bilstm_encode(tape, inputs, store.t("enc_f.W"), store.t("enc_f.b"),
-                               store.t("enc_b.W"), store.t("enc_b.b"), hidden)
+        states = bilstm_encode(
+            tape, inputs, tape.param(store, "enc_f.W"),
+            tape.param(store, "enc_f.b"), tape.param(store, "enc_b.W"),
+            tape.param(store, "enc_b.b"), hidden)
         scores = tape.stack_cols([tape.matmul(s, d) for s in states])  # (B, T)
         alpha = tape.softmax(scores, axis=1)
         acc = tape.mul(tape.column(alpha, 0), states[0])
@@ -132,40 +134,41 @@ def encode_candidates(tape: Tape, model: PlannerModel,
     return tape.stack_rows([pooled[i] for i in range(len(id_seqs))])
 
 
-def contextualize(tape: Tape, model: PlannerModel, reps: Tensor) -> Tensor:
+def contextualize(tape: Tape | NoGrad, model: PlannerModel, reps):
     """Content-selection gating: attention over the other candidates feeds a
     sigmoid gate applied elementwise to each representation."""
     store = model.store
-    k = reps.data.shape[0]
+    k = reps.shape[0]
     if k == 1:
         # the cross-candidate sum is empty; zero context is the only
         # consistent completion
-        ctx = tape.zeros((1, reps.data.shape[1]))
+        ctx = tape.zeros((1, reps.shape[1]))
     else:
-        scores = tape.matmul(tape.matmul(reps, store.t("W_a")),
+        scores = tape.matmul(tape.matmul(reps, tape.param(store, "W_a")),
                              tape.transpose(reps))
         mask = ~np.eye(k, dtype=bool)
         beta = tape.softmax(scores, axis=1, mask=mask)
         ctx = tape.matmul(beta, reps)
-    att = tape.matmul(tape.concat([reps, ctx], axis=1), store.t("W_g"))
+    att = tape.matmul(tape.concat([reps, ctx], axis=1),
+                      tape.param(store, "W_g"))
     gate = tape.sigmoid(att)
     return tape.mul(gate, reps)
 
 
-def pointer_step(tape: Tape, model: PlannerModel, h: Tensor,
-                 reps_c_with_eom: Tensor) -> Tensor:
+def pointer_step(tape: Tape | NoGrad, model: PlannerModel, h,
+                 reps_c_with_eom):
     """Distribution over candidates plus EOM given decoder state ``h``."""
     logits = tape.matmul(reps_c_with_eom,
-                         tape.matmul(h, model.store.t("W_b")))
+                         tape.matmul(h, tape.param(model.store, "W_b")))
     return tape.softmax(logits, axis=0)
 
 
-def _reps_with_eom(tape: Tape, model: PlannerModel, reps_c: Tensor) -> Tensor:
-    eom_row = tape.stack_rows([model.store.t("eom")])
+def _reps_with_eom(tape: Tape | NoGrad, model: PlannerModel, reps_c):
+    eom_row = tape.stack_rows([tape.param(model.store, "eom")])
     return tape.concat([reps_c, eom_row], axis=0)
 
 
-def _forward_reps(tape: Tape, model: PlannerModel, id_seqs):
+def _forward_reps(tape: Tape | NoGrad, model: PlannerModel, id_seqs):
     reps = encode_candidates(tape, model, id_seqs)
     reps_c = contextualize(tape, model, reps)
     return reps_c
@@ -238,44 +241,6 @@ def train_planner(dataset, hyper: PlannerHyper
 # Inference
 
 
-def _candidate_reps(model: PlannerModel, id_seqs) -> np.ndarray:
-    """Tape-free :func:`encode_candidates` followed by :func:`contextualize`:
-    the contextualized representations (K, n), computed once per game."""
-    if any(len(s) == 0 for s in id_seqs):
-        raise ValueError("cannot encode an empty candidate")
-    store = model.store
-    emb = store["emb"].data
-    d = store["query_d"].data
-
-    by_len: dict[int, list[int]] = {}
-    for idx, seq in enumerate(id_seqs):
-        by_len.setdefault(len(seq), []).append(idx)
-
-    reps = np.empty((len(id_seqs), model.hyper.rep_dim))
-    for length, members in sorted(by_len.items()):
-        ids = np.array([id_seqs[i] for i in members], dtype=np.int64)
-        states = _bilstm_np([emb[ids[:, t]] for t in range(length)],
-                            store["enc_f.W"].data, store["enc_f.b"].data,
-                            store["enc_b.W"].data, store["enc_b.b"].data,
-                            model.hyper.hidden)
-        alpha = _softmax(np.stack([s @ d for s in states], axis=1), axis=1)
-        acc = alpha[:, 0:1] * states[0]
-        for t in range(1, length):
-            acc = acc + alpha[:, t:t + 1] * states[t]
-        reps[members] = acc
-
-    k = reps.shape[0]
-    if k == 1:
-        ctx = np.zeros_like(reps)
-    else:
-        scores = (reps @ store["W_a"].data) @ reps.T
-        beta = _softmax(np.where(~np.eye(k, dtype=bool), scores, -1e30),
-                        axis=1)
-        ctx = beta @ reps
-    gate = _sigmoid(np.concatenate([reps, ctx], axis=1) @ store["W_g"].data)
-    return gate * reps
-
-
 @dataclass
 class BeamHypothesis:
     pointers: tuple[int, ...]
@@ -312,7 +277,7 @@ def _allowed(hyps: list[BeamHypothesis], k: int,
 
 
 class _PointerDecoder:
-    """Tape-free pointer decoding for one game.
+    """Pointer decoding for one game, under ``NO_GRAD``.
 
     Each hypothesis takes its own matrix-vector products rather than one
     row of a stacked product, whose rounding depends on the row's place in
@@ -321,14 +286,15 @@ class _PointerDecoder:
     the rounding, breaks the tie."""
 
     def __init__(self, model: PlannerModel, candidate_token_seqs):
-        store = model.store
-        self.reps_c = _candidate_reps(
-            model, [model.token_ids(s) for s in candidate_token_seqs])
-        self.all_reps = np.concatenate([self.reps_c, store["eom"].data[None]])
+        self.model = model
+        self.reps_c = _forward_reps(
+            NO_GRAD, model, [model.token_ids(s) for s in candidate_token_seqs])
+        self.all_reps = _reps_with_eom(NO_GRAD, model, self.reps_c)
         self.k = self.reps_c.shape[0]
-        self.start = store["start"].data
-        self.W, self.b = store["dec.W"].data, store["dec.b"].data
-        self.W_b = store["W_b"].data
+        store = model.store
+        self.start = NO_GRAD.param(store, "start")
+        self.W = NO_GRAD.param(store, "dec.W")
+        self.b = NO_GRAD.param(store, "dec.b")
 
     def root(self) -> BeamHypothesis:
         h0 = self.reps_c.mean(axis=0)
@@ -340,10 +306,10 @@ class _PointerDecoder:
         hs, cs, dists = [], [], []
         for hyp in hyps:
             x = self.reps_c[hyp.pointers[-1]] if hyp.pointers else self.start
-            h, c = _lstm_step_np(x, hyp.h, hyp.c, self.W, self.b)
+            h, c = lstm_step(NO_GRAD, x, hyp.h, hyp.c, self.W, self.b)
             hs.append(h)
             cs.append(c)
-            dists.append(_softmax(self.all_reps @ (h @ self.W_b)))
+            dists.append(pointer_step(NO_GRAD, self.model, h, self.all_reps))
         return hs, cs, np.stack(dists)
 
 

@@ -284,3 +284,23 @@ class TestTapeMechanics:
             assert inner() is None
         finally:
             gc.enable()
+
+    def test_backward_frees_intermediates_during_replay(self):
+        # once the nodes that read an intermediate have replayed, it and its
+        # gradient are gone, before the nodes recorded ahead of it replay
+        gc.disable()
+        try:
+            tape = Tape()
+            x = tape.tensor(np.ones(3))
+            seen = []
+            # a probe recorded before the intermediate, so it replays after
+            tape._record(x, lambda: seen.append(mid() is None))
+            y = tape.mul(x, x)
+            mid = weakref.ref(y)
+            loss = tape.sum(tape.tanh(y))
+            del y
+            tape.backward(loss)
+            assert seen == [True]
+            assert np.allclose(x.grad, 2 * (1 - np.tanh(1.0) ** 2))
+        finally:
+            gc.enable()

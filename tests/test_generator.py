@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from macroplan.autodiff import Tape
+from macroplan.autodiff import NO_GRAD, Tape
 from macroplan.generator import (BOS, EOS, UNK, GeneratorHyper, GeneratorModel,
-                                 _ExtendedVocab, _copy_mask, _decode_step_np,
-                                 _encode_plan_np, _output_dists,
+                                 _ExtendedVocab, _copy_mask, _output_dists,
                                  build_gen_vocab, decode_step, encode_plan,
                                  generate, instance_loss, train_generator)
 
@@ -51,24 +50,28 @@ class TestEncodePlan:
 
 
 class TestOutputMixture:
-    def _forward(self, model):
+    def _forward(self, model, prev=BOS, h=None, c=None):
+        """One decoder step on a tape from the plan's initial state, or
+        from ``h``/``c``: (p_gen, p_copy, alpha, h, c)."""
         tape = Tape()
         model.store.bind(tape)
         ids = [model.token_id(t) for t in PLAN]
-        S, h, c = encode_plan(tape, model, ids)
-        h, c, comb, alpha = decode_step(tape, model, S, model.token_id(BOS),
+        S, h0, c0 = encode_plan(tape, model, ids)
+        h = h0 if h is None else tape.tensor(h)
+        c = c0 if c is None else tape.tensor(c)
+        h, c, comb, alpha = decode_step(tape, model, S, model.token_id(prev),
                                         h, c)
         p_gen, p_copy = _output_dists(tape, model, comb)
-        return p_gen.data, float(p_copy.data), alpha.data
+        return p_gen.data, float(p_copy.data), alpha.data, h.data, c.data
 
     def test_gen_dist_normalized(self):
-        p_gen, p_copy, alpha = self._forward(tiny_model())
+        p_gen, p_copy, alpha, *_ = self._forward(tiny_model())
         assert np.isclose(p_gen.sum(), 1.0)
         assert 0.0 < p_copy < 1.0
         assert np.isclose(alpha.sum(), 1.0)
 
     def _surface_dist(self, model):
-        p_gen, p_copy, alpha = self._forward(model)
+        p_gen, p_copy, alpha, *_ = self._forward(model)
         ext = _ExtendedVocab(model, PLAN)
         dist = ext.mix(p_gen[None], np.array([p_copy]), alpha[None])[0]
         return dict(zip(ext.surfaces, dist)), p_gen, p_copy, alpha
@@ -95,16 +98,30 @@ class TestOutputMixture:
         assert "<TR>9" in dist  # the vocabulary token itself stays
 
     def test_tape_free_step_matches_tape(self):
+        # the same functions under NO_GRAD, on a stack of hypotheses: a
+        # one-row stack reproduces the tape exactly; in a two-row stack (the
+        # plan's initial state, and the state one step on) a row may round
+        # differently, by a few ulps
         model = tiny_model()
-        ids = [model.token_id(t) for t in PLAN]
-        p_gen, p_copy, alpha = self._forward(model)
-        S, h0, c0 = _encode_plan_np(model, ids)
-        *_, g, pc, a = _decode_step_np(model, S,
-                                       np.array([model.token_id(BOS)]),
-                                       h0[None], c0[None])
-        assert np.array_equal(g[0], p_gen)
-        assert pc[0] == p_copy
-        assert np.array_equal(a[0], alpha)
+        S, h0, c0 = encode_plan(NO_GRAD, model,
+                                [model.token_id(t) for t in PLAN])
+        first = self._forward(model)
+        second = self._forward(model, "Royals", *first[3:])
+
+        def no_grad_step(prevs, hs, cs):
+            h, c, comb, alpha = decode_step(
+                NO_GRAD, model, S,
+                np.array([model.token_id(t) for t in prevs]),
+                np.stack(hs), np.stack(cs))
+            p_gen, p_copy = _output_dists(NO_GRAD, model, comb)
+            return list(zip(p_gen, p_copy, alpha, h, c))
+
+        [row] = no_grad_step([BOS], [h0], [c0])
+        assert all(np.array_equal(x, y) for x, y in zip(row, first))
+        rows = no_grad_step([BOS, "Royals"], [h0, first[3]], [c0, first[4]])
+        for row, want in zip(rows, (first, second)):
+            assert all(np.allclose(x, y, rtol=1e-12, atol=1e-15)
+                       for x, y in zip(row, want))
 
 
 class TestCopyMask:
