@@ -8,12 +8,10 @@ Usage:
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from macroplan.cli import RunConfig, run
-
-ORDER = ["synth", "derive-plans", "enumerate", "train-planner",
-         "train-generator", "plan", "generate", "evaluate"]
+from macroplan.cli import STAGES, RunConfig, run
 
 
 def main() -> int:
@@ -27,11 +25,12 @@ def main() -> int:
 
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     if args.seed is not None:
-        from dataclasses import replace
         cfg = replace(cfg, seed=args.seed)
 
-    for stage in ORDER:
-        if args.skip_training and stage.startswith("train-"):
+    for stage, spec in STAGES.items():
+        # gradcheck makes no artifact and is not part of the pipeline
+        if not spec.makes or (args.skip_training
+                              and stage.startswith("train-")):
             continue
         print(f"==> {stage}")
         status = run(stage, cfg, Path(args.out))

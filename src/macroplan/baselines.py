@@ -14,10 +14,6 @@ __all__ = ["templ_summary", "realize_plan_template", "build_noplan_input"]
 _ORDINAL_BY_NUMBER = {v: k for k, v in ORDINAL_WORDS.items()}
 
 
-def _attr(game: Game, name: str, rec_type: str) -> str:
-    return game.entity(name).attr_map[rec_type]
-
-
 def _winner_loser(game: Game):
     v, h = game.visiting_team, game.home_team
     vr, hr = int(v.attr_map["TR"]), int(h.attr_map["TR"])
@@ -149,12 +145,12 @@ def build_noplan_input(game: Game, players_per_side: int = 4) -> list[str]:
     team, visiting team, top home players, top visiting players, and (for
     event-rich games) every half-inning with scoring plays."""
     tokens: list[str] = []
-    tokens.extend(verbalize_entity(game.home_team, game.schema))
-    tokens.extend(verbalize_entity(game.visiting_team, game.schema))
+    tokens.extend(verbalize_entity(game.home_team))
+    tokens.extend(verbalize_entity(game.visiting_team))
     for side in ("home", "visiting"):
         side_players = [p for p in game.players if p.side == side]
         for p in side_players[:players_per_side]:
-            tokens.extend(verbalize_entity(p, game.schema))
+            tokens.extend(verbalize_entity(p))
     if game.kind == "event-rich":
         scoring = [hk for hk in game.halves()
                    if any(_is_scoring(ev) for ev in game.plays_in_half(*hk))]

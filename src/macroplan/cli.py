@@ -9,29 +9,34 @@ import hashlib
 import json
 import re
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import bpe as bpe_mod
+from .autodiff import Tape
 from .candidates import augment_with_gold, enumerate_candidates
 from .data import (AliasTable, Game, SummaryDoc, SYNTH_SCHEMA,
                    load_alias_table, load_games, save_games)
 from .generator import (GeneratorHyper, GeneratorModel, build_gen_vocab,
                         generate, train_generator)
+from .generator import instance_loss as generator_loss
 from .metrics import (DEFAULT_EXTRACTION_LEXICON, ExtractionLexicon,
                       evaluate_summaries, intrinsic_plan_eval,
                       plan_fidelity, plan_identifiers)
 from .nn import grad_check, load_params, save_params
-from .oracle import (DEFAULT_INNING_LEXICON, InningLexicon, derive_macro_plan)
-from .planner import (MacroPlan, PlannerHyper, PlannerModel, infer_plan,
-                      linearize, train_planner)
+from .oracle import (DEFAULT_INNING_LEXICON, InningLexicon, _classify_spec,
+                     derive_macro_plan)
+from .planner import (MacroPlan, PlannerHyper, PlannerModel, build_vocab,
+                      infer_plan, linearize, train_planner)
+from .planner import instance_loss as planner_loss
 from .synth import SynthConfig, synth_league
 from .verbalize import PARAGRAPH_SEP, ParagraphPlanSpec, render_spec, \
     verbalize_plan
 
-__all__ = ["RunConfig", "main", "run",
+__all__ = ["RunConfig", "STAGES", "main", "run",
            "format_plan_line", "parse_plan_line"]
 
 
@@ -136,7 +141,6 @@ def parse_plan_line(line: str):
 
 
 def _spec_from_refs(entity_refs, event_refs, game: Game) -> ParagraphPlanSpec:
-    from .oracle import _classify_spec
     spec = _classify_spec(entity_refs, event_refs)
     if spec is None:
         raise ValueError("plan paragraph references nothing")
@@ -168,38 +172,64 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _update_manifest(out: Path, stage: str, inputs: list[Path]) -> None:
+def _update_manifest(out: Path, stage: str, names) -> None:
     manifest_path = out / "manifest.json"
     manifest = {}
     if manifest_path.exists():
         manifest = json.loads(manifest_path.read_text())
-    manifest[stage] = {p.name: _sha256(p) for p in sorted(inputs)}
+    manifest[stage] = {name: _sha256(out / name) for name in sorted(names)}
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True)
                              + "\n")
 
 
-def _require(out: Path, stage: str, *names: str) -> list[Path]:
-    paths = []
+def _require(out: Path, stage: str, names) -> None:
     for name in names:
-        p = out / name
-        if not p.exists():
+        if not (out / name).exists():
+            maker = next(n for n, s in STAGES.items() if name in s.makes)
             raise StageError(
                 f"stage {stage!r} requires artifact {name!r} in {out}; run "
-                f"the producing stage first")
-        paths.append(p)
-    return paths
+                f"stage {maker!r} first")
 
 
-def _save_model(out: Path, prefix: str, store, vocab: dict,
-                bpe_model) -> None:
-    save_params(out / f"{prefix}.mpln", store)
-    (out / f"{prefix}_vocab.json").write_text(
-        json.dumps(vocab, indent=0, sort_keys=True) + "\n")
-    bpe_mod.save_bpe(out / f"{prefix}.bpe", bpe_model)
+def _games(out: Path) -> list[Game]:
+    return load_games(out / "games.jsonl", SYNTH_SCHEMA)
 
 
-def _load_vocab(path: Path) -> dict[str, int]:
-    return {k: int(v) for k, v in json.loads(path.read_text()).items()}
+def _checkpoint(prefix: str) -> tuple[str, ...]:
+    """The files that hold a trained model."""
+    return f"{prefix}.mpln", f"{prefix}_vocab.json", f"{prefix}.bpe"
+
+
+def _save_model(out: Path, prefix: str, model, bpe_model,
+                trace: list[float]) -> None:
+    params, vocab, bpe = (out / name for name in _checkpoint(prefix))
+    save_params(params, model.store)
+    vocab.write_text(json.dumps(model.vocab, indent=0, sort_keys=True) + "\n")
+    bpe_mod.save_bpe(bpe, bpe_model)
+    (out / f"{prefix}_loss.json").write_text(
+        json.dumps({"per_epoch_nll": trace}, indent=2) + "\n")
+
+
+def _load_model(out: Path, prefix: str, model_cls, hyper):
+    """(model, BPE model) from the files :func:`_save_model` wrote."""
+    params, vocab, bpe = (out / name for name in _checkpoint(prefix))
+    store = load_params(params)
+    ids = {k: int(v) for k, v in json.loads(vocab.read_text()).items()}
+    return model_cls(store, ids, hyper), bpe_mod.load_bpe(bpe)
+
+
+def _planner_hyper(cfg: RunConfig) -> PlannerHyper:
+    return PlannerHyper(emb_dim=cfg.planner_emb, hidden=cfg.planner_hidden,
+                        lr=cfg.planner_lr, epochs=cfg.planner_epochs,
+                        seed=cfg.seed, beam_size=cfg.beam)
+
+
+def _generator_hyper(cfg: RunConfig) -> GeneratorHyper:
+    return GeneratorHyper(emb_dim=cfg.generator_emb,
+                          hidden=cfg.generator_hidden,
+                          lr=cfg.generator_lr, epochs=cfg.generator_epochs,
+                          seed=cfg.seed + 1, trunc=cfg.generator_trunc,
+                          max_len=cfg.generator_max_len, beam_size=cfg.beam)
 
 
 # ---------------------------------------------------------------------------
@@ -214,52 +244,41 @@ def stage_synth(cfg: RunConfig, out: Path) -> None:
                        merge_probability=cfg.merge_probability)
     pairs = synth_league(scfg)
     save_games(out / "games.jsonl", [g for g, _ in pairs])
-    _update_manifest(out, "synth", [out / "games.jsonl"])
     print(f"synth: wrote {len(pairs)} games to {out / 'games.jsonl'}")
 
 
-def _load_corpus(cfg: RunConfig, out: Path, stage: str) -> list[Game]:
-    (path,) = _require(out, stage, "games.jsonl")
-    return load_games(path, SYNTH_SCHEMA)
-
-
 def stage_derive_plans(cfg: RunConfig, out: Path) -> None:
-    games = _load_corpus(cfg, out, "derive-plans")
+    games = _games(out)
     aliases, lexicon = cfg.aliases(), cfg.inning_lexicon()
     lines = []
     for game in games:
         plan, specs = derive_macro_plan(game, aliases, lexicon)
         lines.append(format_plan_line(game.id, plan, specs))
     (out / "plans_gold.txt").write_text("\n".join(lines) + "\n")
-    _update_manifest(out, "derive-plans",
-                     [out / "games.jsonl", out / "plans_gold.txt"])
     print(f"derive-plans: wrote {len(lines)} gold plans")
 
 
 def stage_enumerate(cfg: RunConfig, out: Path) -> None:
-    games = _load_corpus(cfg, out, "enumerate")
+    games = _games(out)
     lines = []
     for game in games:
         for idx, spec in enumerate(enumerate_candidates(game)):
             lines.append(f"{game.id}\t{idx}\t{render_spec(spec)}")
     (out / "candidates.txt").write_text("\n".join(lines) + "\n")
-    _update_manifest(out, "enumerate",
-                     [out / "games.jsonl", out / "candidates.txt"])
     print(f"enumerate: wrote candidate sets for {len(games)} games")
 
 
-def _train_split(cfg: RunConfig, games: list[Game]) -> list[Game]:
+def _gold_train_split(cfg: RunConfig, out: Path):
+    """The training games and every game's gold plan."""
+    games = _games(out)
+    plans = read_plan_file(out / "plans_gold.txt", games)
     if cfg.holdout >= len(games):
         raise ValueError("holdout leaves no training games")
-    return games[:len(games) - cfg.holdout] if cfg.holdout else games
+    return games[:len(games) - cfg.holdout] if cfg.holdout else games, plans
 
 
-def _planner_dataset(cfg: RunConfig, out: Path, stage: str):
-    games = _load_corpus(cfg, out, stage)
-    (gold_path,) = _require(out, stage, "plans_gold.txt")
-    plans = read_plan_file(gold_path, games)
-    train_games = _train_split(cfg, games)
-
+def _planner_dataset(cfg: RunConfig, out: Path):
+    train_games, plans = _gold_train_split(cfg, out)
     corpus = []
     per_game = []
     for game in train_games:
@@ -278,37 +297,20 @@ def _planner_dataset(cfg: RunConfig, out: Path, stage: str):
     dataset = [([bpe_mod.encode(model, list(c.tokens)) for c in cands],
                 pointers)
                for cands, pointers in per_game]
-    return games, dataset, model
+    return dataset, model
 
 
 def stage_train_planner(cfg: RunConfig, out: Path) -> None:
-    _, dataset, bpe_model = _planner_dataset(cfg, out, "train-planner")
-    hyper = PlannerHyper(emb_dim=cfg.planner_emb, hidden=cfg.planner_hidden,
-                         lr=cfg.planner_lr, epochs=cfg.planner_epochs,
-                         seed=cfg.seed, beam_size=cfg.beam)
-    model, trace = train_planner(dataset, hyper)
-    _save_model(out, "planner", model.store, model.vocab, bpe_model)
-    (out / "planner_loss.json").write_text(
-        json.dumps({"per_epoch_nll": trace}, indent=2) + "\n")
-    _update_manifest(out, "train-planner",
-                     [out / "planner.mpln", out / "planner_vocab.json",
-                      out / "planner.bpe", out / "planner_loss.json"])
+    dataset, bpe_model = _planner_dataset(cfg, out)
+    model, trace = train_planner(dataset, _planner_hyper(cfg))
+    _save_model(out, "planner", model, bpe_model, trace)
     print(f"train-planner: final per-step NLL {trace[-1]:.4f}")
 
 
-def _load_planner(cfg: RunConfig, out: Path, stage: str):
-    _require(out, stage, "planner.mpln", "planner_vocab.json", "planner.bpe")
-    store = load_params(out / "planner.mpln")
-    vocab = _load_vocab(out / "planner_vocab.json")
-    bpe_model = bpe_mod.load_bpe(out / "planner.bpe")
-    hyper = PlannerHyper(emb_dim=cfg.planner_emb, hidden=cfg.planner_hidden,
-                         beam_size=cfg.beam)
-    return PlannerModel(store, vocab, hyper), bpe_model
-
-
 def stage_plan(cfg: RunConfig, out: Path) -> None:
-    games = _load_corpus(cfg, out, "plan")
-    model, bpe_model = _load_planner(cfg, out, "plan")
+    games = _games(out)
+    model, bpe_model = _load_model(out, "planner", PlannerModel,
+                                   _planner_hyper(cfg))
     lines = []
     for game in games:
         cands = enumerate_candidates(game)
@@ -317,12 +319,10 @@ def stage_plan(cfg: RunConfig, out: Path) -> None:
                           unigram_cap=game.kind == "event-rich")
         lines.append(format_plan_line(game.id, plan, cands))
     (out / "plans_pred.txt").write_text("\n".join(lines) + "\n")
-    _update_manifest(out, "plan", [out / "plans_pred.txt"])
     print(f"plan: wrote {len(lines)} predicted plans")
 
 
-def _generator_pairs(cfg: RunConfig, games: list[Game], plans,
-                     merges: int):
+def _generator_pairs(games: list[Game], plans, merges: int):
     protected = {PARAGRAPH_SEP}
     for game in games:
         for e in game.entities:
@@ -347,38 +347,12 @@ def _generator_pairs(cfg: RunConfig, games: list[Game], plans,
 
 
 def stage_train_generator(cfg: RunConfig, out: Path) -> None:
-    games = _load_corpus(cfg, out, "train-generator")
-    (gold_path,) = _require(out, "train-generator", "plans_gold.txt")
-    plans = read_plan_file(gold_path, games)
-    train_games = _train_split(cfg, games)
-    pairs, bpe_model = _generator_pairs(cfg, train_games, plans,
+    train_games, plans = _gold_train_split(cfg, out)
+    pairs, bpe_model = _generator_pairs(train_games, plans,
                                         cfg.generator_merges)
-    hyper = GeneratorHyper(emb_dim=cfg.generator_emb,
-                           hidden=cfg.generator_hidden,
-                           lr=cfg.generator_lr, epochs=cfg.generator_epochs,
-                           seed=cfg.seed + 1, trunc=cfg.generator_trunc,
-                           max_len=cfg.generator_max_len, beam_size=cfg.beam)
-    model, trace = train_generator(pairs, hyper)
-    _save_model(out, "generator", model.store, model.vocab, bpe_model)
-    (out / "generator_loss.json").write_text(
-        json.dumps({"per_epoch_nll": trace}, indent=2) + "\n")
-    _update_manifest(out, "train-generator",
-                     [out / "generator.mpln", out / "generator_vocab.json",
-                      out / "generator.bpe", out / "generator_loss.json"])
+    model, trace = train_generator(pairs, _generator_hyper(cfg))
+    _save_model(out, "generator", model, bpe_model, trace)
     print(f"train-generator: final per-token NLL {trace[-1]:.4f}")
-
-
-def _load_generator(cfg: RunConfig, out: Path, stage: str):
-    _require(out, stage, "generator.mpln", "generator_vocab.json",
-             "generator.bpe")
-    store = load_params(out / "generator.mpln")
-    vocab = _load_vocab(out / "generator_vocab.json")
-    bpe_model = bpe_mod.load_bpe(out / "generator.bpe")
-    hyper = GeneratorHyper(emb_dim=cfg.generator_emb,
-                           hidden=cfg.generator_hidden,
-                           trunc=cfg.generator_trunc,
-                           max_len=cfg.generator_max_len, beam_size=cfg.beam)
-    return GeneratorModel(store, vocab, hyper), bpe_model
 
 
 def _summary_from_tokens(bpe_model, tokens: list[str]) -> SummaryDoc:
@@ -395,10 +369,10 @@ def _summary_from_tokens(bpe_model, tokens: list[str]) -> SummaryDoc:
 
 
 def stage_generate(cfg: RunConfig, out: Path) -> None:
-    games = _load_corpus(cfg, out, "generate")
-    (pred_path,) = _require(out, "generate", "plans_pred.txt")
-    model, bpe_model = _load_generator(cfg, out, "generate")
-    plans = read_plan_file(pred_path, games)
+    games = _games(out)
+    model, bpe_model = _load_model(out, "generator", GeneratorModel,
+                                   _generator_hyper(cfg))
+    plans = read_plan_file(out / "plans_pred.txt", games)
 
     results = []
     for game in games:
@@ -419,15 +393,11 @@ def stage_generate(cfg: RunConfig, out: Path) -> None:
     (out / "summaries.txt").write_text("\n".join(flat) + "\n")
     (out / "summaries_readable.txt").write_text(
         "\n\n----\n\n".join(readable) + "\n")
-    _update_manifest(out, "generate",
-                     [out / "summaries.jsonl", out / "summaries.txt",
-                      out / "summaries_readable.txt"])
     print(f"generate: wrote {len(results)} summaries")
 
 
 def stage_evaluate(cfg: RunConfig, out: Path) -> None:
-    games = _load_corpus(cfg, out, "evaluate")
-    _require(out, "evaluate", "summaries.jsonl", "plans_pred.txt")
+    games = _games(out)
     by_id = {g.id: g for g in games}
     docs: dict[str, SummaryDoc] = {}
     with open(out / "summaries.jsonl", encoding="utf-8") as fh:
@@ -462,15 +432,10 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> None:
                                      "cs_f": f, "co": co_val}
     (out / "report.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _update_manifest(out, "evaluate", [out / "report.json"])
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def stage_gradcheck(cfg: RunConfig, out: Path) -> None:
-    from .planner import build_vocab, instance_loss as planner_loss
-    from .generator import build_gen_vocab, instance_loss as gen_loss
-    from .autodiff import Tape
-
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
 
@@ -497,7 +462,7 @@ def stage_gradcheck(cfg: RunConfig, out: Path) -> None:
     def gloss():
         tape = Tape()
         gmodel.store.bind(tape)
-        return gen_loss(tape, gmodel, pairs[0][0], pairs[0][1])
+        return generator_loss(tape, gmodel, pairs[0][0], pairs[0][1])
 
     worst = max(worst, grad_check(gloss, gmodel.store, max_coords=4, rng=rng))
     print(f"gradcheck: max relative error {worst:.3e}")
@@ -505,27 +470,57 @@ def stage_gradcheck(cfg: RunConfig, out: Path) -> None:
         raise SystemExit(f"gradient check failed: {worst:.3e} > 1e-4")
 
 
+@dataclass(frozen=True)
+class Stage:
+    """A subcommand: the artifacts it needs in the output directory and
+    the ones it makes there."""
+    fn: Callable[[RunConfig, Path], None]
+    needs: tuple[str, ...] = ()
+    makes: tuple[str, ...] = ()
+
+
+#: every subcommand, in pipeline order; ``gradcheck`` stands apart
 STAGES = {
-    "synth": stage_synth,
-    "derive-plans": stage_derive_plans,
-    "enumerate": stage_enumerate,
-    "train-planner": stage_train_planner,
-    "train-generator": stage_train_generator,
-    "plan": stage_plan,
-    "generate": stage_generate,
-    "evaluate": stage_evaluate,
-    "gradcheck": stage_gradcheck,
+    "synth": Stage(stage_synth, makes=("games.jsonl",)),
+    "derive-plans": Stage(stage_derive_plans, ("games.jsonl",),
+                          ("plans_gold.txt",)),
+    "enumerate": Stage(stage_enumerate, ("games.jsonl",),
+                       ("candidates.txt",)),
+    "train-planner": Stage(stage_train_planner,
+                           ("games.jsonl", "plans_gold.txt"),
+                           _checkpoint("planner") + ("planner_loss.json",)),
+    "train-generator": Stage(stage_train_generator,
+                             ("games.jsonl", "plans_gold.txt"),
+                             _checkpoint("generator")
+                             + ("generator_loss.json",)),
+    "plan": Stage(stage_plan, ("games.jsonl",) + _checkpoint("planner"),
+                  ("plans_pred.txt",)),
+    "generate": Stage(stage_generate,
+                      ("games.jsonl", "plans_pred.txt")
+                      + _checkpoint("generator"),
+                      ("summaries.jsonl", "summaries.txt",
+                       "summaries_readable.txt")),
+    "evaluate": Stage(stage_evaluate,
+                      ("games.jsonl", "summaries.jsonl", "plans_pred.txt"),
+                      ("report.json",)),
+    "gradcheck": Stage(stage_gradcheck),
 }
 
 
 def run(subcommand: str, cfg: RunConfig, out: Path) -> int:
+    """Run one stage: check that its inputs exist, run it, and record the
+    hashes of its outputs in ``manifest.json``."""
     if subcommand not in STAGES:
         print(f"unknown subcommand {subcommand!r}", file=sys.stderr)
         return 2
+    stage = STAGES[subcommand]
     out.mkdir(parents=True, exist_ok=True)
     try:
         cfg.validate_paths()
-        STAGES[subcommand](cfg, out)
+        _require(out, subcommand, stage.needs)
+        stage.fn(cfg, out)
+        if stage.makes:
+            _update_manifest(out, subcommand, stage.makes)
     except (StageError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

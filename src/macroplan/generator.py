@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import NO_GRAD, NoGrad, Tape, Tensor
-from .nn import ParamStore, adagrad_step, bilstm_encode, lstm_step
+from .nn import ParamStore, bilstm_encode, fit, lstm_step
 from .verbalize import strip_marker
 
 log = logging.getLogger(__name__)
@@ -148,10 +148,14 @@ def _output_dists(tape: Tape | NoGrad, model: GeneratorModel, comb):
     return p_gen, p_copy
 
 
-def _copy_mask(plan_tokens: list[str], target: str) -> np.ndarray:
-    """1.0 at plan positions whose marker-stripped surface equals ``target``."""
-    return np.array([1.0 if strip_marker(t) == target else 0.0
-                     for t in plan_tokens])
+def _surfaces(plan_tokens: list[str]) -> list[str]:
+    """The marker-stripped plan tokens: what copying a position emits."""
+    return [strip_marker(t) for t in plan_tokens]
+
+
+def _copy_mask(surfaces: list[str], target: str) -> np.ndarray:
+    """1.0 at plan positions whose surface equals ``target``."""
+    return np.array([1.0 if s == target else 0.0 for s in surfaces])
 
 
 def instance_loss(tape: Tape, model: GeneratorModel, plan_tokens: list[str],
@@ -165,6 +169,7 @@ def instance_loss(tape: Tape, model: GeneratorModel, plan_tokens: list[str],
     trunc = trunc or model.hyper.trunc
     plan_ids = [model.token_id(t) for t in plan_tokens]
     S, h, c = encode_plan(tape, model, plan_ids)
+    surfaces = _surfaces(plan_tokens)
     targets = list(target_tokens) + [EOS]
     prev = BOS
     loss = None
@@ -176,7 +181,7 @@ def instance_loss(tape: Tape, model: GeneratorModel, plan_tokens: list[str],
                                         h, c)
         p_gen, p_copy = _output_dists(tape, model, comb)
         gen_p = tape.pick(p_gen, model.token_id(target))
-        mask = _copy_mask(plan_tokens, target)
+        mask = _copy_mask(surfaces, target)
         copy_p = tape.matmul(alpha, tape.tensor(mask))
         keep = tape.add_const(tape.neg(p_copy), 1.0)
         p = tape.add(tape.mul(keep, gen_p), tape.mul(p_copy, copy_p))
@@ -198,26 +203,7 @@ def train_generator(pairs, hyper: GeneratorHyper
     vocab = build_gen_vocab(pairs)
     rng = np.random.default_rng(hyper.seed)
     model = GeneratorModel.init(vocab, hyper, rng)
-
-    trace = []
-    order = np.arange(len(pairs))
-    for _epoch in range(hyper.epochs):
-        rng.shuffle(order)
-        total = 0.0
-        tokens = 0
-        for i in order:
-            plan_tokens, target_tokens = pairs[i]
-            tape = Tape()
-            model.store.bind(tape)
-            loss = instance_loss(tape, model, plan_tokens, target_tokens)
-            tape.backward(loss)
-            adagrad_step(model.store, hyper.lr, clip=hyper.grad_clip)
-            total += float(loss.data)
-            tokens += len(target_tokens) + 1
-        trace.append(total / tokens)
-        if hyper.stop_tol is not None and trace[-1] < hyper.stop_tol:
-            break
-    return model, trace
+    return model, fit(model, instance_loss, pairs, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +216,7 @@ class _ExtendedVocab:
     are sorted, so an index is also the surface's lexicographic rank."""
 
     def __init__(self, model: GeneratorModel, plan_tokens: list[str]):
-        plan_surfaces = [strip_marker(t) for t in plan_tokens]
+        plan_surfaces = _surfaces(plan_tokens)
         self.surfaces = sorted(
             {t for t in model.vocab if t not in NEVER_EMITTED}
             | {s for s in plan_surfaces if s not in NEVER_EMITTED})

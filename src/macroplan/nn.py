@@ -14,6 +14,7 @@ __all__ = [
     "lstm_step",
     "bilstm_encode",
     "adagrad_step",
+    "fit",
     "grad_check",
     "save_params",
     "load_params",
@@ -148,6 +149,36 @@ def adagrad_step(store: ParamStore, lr: float,
         p = store[name]
         p.accumulator += grad * grad
         p.data -= lr * grad / (np.sqrt(p.accumulator) + ADAGRAD_EPS)
+
+
+def fit(model, loss_fn, data: list, rng: np.random.Generator) -> list[float]:
+    """Train ``model`` by Adagrad under the settings in ``model.hyper``.
+
+    ``data`` is a list of (source, targets); ``loss_fn(tape, model, source,
+    targets)`` returns the teacher-forced NLL of the targets plus one end
+    marker.  Each epoch visits the instances in an order shuffled by ``rng``,
+    one tape each.  Returns the per-epoch mean NLL per prediction.
+    """
+    hyper = model.hyper
+    trace = []
+    order = np.arange(len(data))
+    for _epoch in range(hyper.epochs):
+        rng.shuffle(order)
+        total = 0.0
+        predictions = 0
+        for i in order:
+            source, targets = data[i]
+            tape = Tape()
+            model.store.bind(tape)
+            loss = loss_fn(tape, model, source, targets)
+            tape.backward(loss)
+            adagrad_step(model.store, hyper.lr, clip=hyper.grad_clip)
+            total += float(loss.data)
+            predictions += len(targets) + 1
+        trace.append(total / predictions)
+        if hyper.stop_tol is not None and trace[-1] < hyper.stop_tol:
+            break
+    return trace
 
 
 def grad_check(loss_fn, store: ParamStore, h: float = 1e-5,

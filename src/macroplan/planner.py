@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import NO_GRAD, NoGrad, Tape, Tensor
-from .nn import ParamStore, adagrad_step, bilstm_encode, lstm_step
+from .nn import ParamStore, bilstm_encode, fit, lstm_step
 from .verbalize import PARAGRAPH_SEP, ParagraphPlanSpec
 
 log = logging.getLogger(__name__)
@@ -215,26 +215,7 @@ def train_planner(dataset, hyper: PlannerHyper
     model = PlannerModel.init(vocab, hyper, rng)
     id_data = [([model.token_ids(s) for s in seqs], list(pointers))
                for seqs, pointers in dataset]
-
-    trace = []
-    order = np.arange(len(id_data))
-    for _epoch in range(hyper.epochs):
-        rng.shuffle(order)
-        total = 0.0
-        steps = 0
-        for i in order:
-            id_seqs, pointers = id_data[i]
-            tape = Tape()
-            model.store.bind(tape)
-            loss = instance_loss(tape, model, id_seqs, pointers)
-            tape.backward(loss)
-            adagrad_step(model.store, hyper.lr, clip=hyper.grad_clip)
-            total += float(loss.data)
-            steps += len(pointers) + 1
-        trace.append(total / steps)
-        if hyper.stop_tol is not None and trace[-1] < hyper.stop_tol:
-            break
-    return model, trace
+    return model, fit(model, instance_loss, id_data, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .data import EntityRecord, Game, PlayEvent, RecordSchema
+from .data import EntityRecord, Game, PlayEvent
 
 __all__ = [
     "ParagraphPlanSpec",
@@ -78,7 +78,7 @@ def strip_marker(token: str) -> str:
     return token
 
 
-def verbalize_entity(rec: EntityRecord, schema: RecordSchema) -> list[str]:
+def verbalize_entity(rec: EntityRecord) -> list[str]:
     """Alternating type-marker/value rendering in schema order, name first."""
     head = "<TEAM>" if rec.kind == "team" else "<PLAYER>"
     tokens = [head + rec.name]
@@ -133,7 +133,7 @@ def verbalize_event_group(halves, game: Game) -> list[str]:
             raise ValueError(f"unknown half-inning {hk[0]}-{hk[1]}")
     tokens: list[str] = []
     for name in _event_participants(halves, game):
-        tokens.extend(verbalize_entity(game.entity(name), game.schema))
+        tokens.extend(verbalize_entity(game.entity(name)))
     for inning, half in halves:
         for ev in game.plays_in_half(inning, half):
             tokens.extend(verbalize_play(ev))
@@ -153,7 +153,7 @@ def verbalize_plan(spec: ParagraphPlanSpec, game: Game) -> ParagraphPlanSpec:
             rec = game.entity(name)
         except KeyError:
             raise ValueError(f"plan references unknown entity {name!r}") from None
-        tokens.extend(verbalize_entity(rec, game.schema))
+        tokens.extend(verbalize_entity(rec))
     if spec.event_refs:
         tokens.extend(verbalize_event_group(spec.event_refs, game))
     if not tokens:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from macroplan.cli import (RunConfig, StageError, format_plan_line,
+from macroplan.cli import (STAGES, RunConfig, StageError, format_plan_line,
                            parse_plan_line, read_plan_file, run)
 from macroplan.oracle import derive_macro_plan
 from macroplan.planner import MacroPlan
@@ -81,12 +81,20 @@ class TestStageOrdering:
         assert run("synth", SMALL, tmp_path) == 0
         assert run("derive-plans", SMALL, tmp_path) == 0
         assert run("plan", SMALL, tmp_path) == 1
-        assert "run the producing stage first" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'train-planner'" in err
 
     def test_evaluate_before_generate_fails(self, tmp_path, capsys):
         assert run("synth", SMALL, tmp_path) == 0
         assert run("evaluate", SMALL, tmp_path) == 1
         assert "summaries.jsonl" in capsys.readouterr().err
+
+    def test_needs_are_made_by_an_earlier_stage(self):
+        made = set()
+        for name, stage in STAGES.items():
+            assert set(stage.needs) <= made, name
+            made |= set(stage.makes)
 
     def test_unknown_stage_rejected(self, tmp_path, capsys):
         assert run("bogus-stage", SMALL, tmp_path) == 2
@@ -118,6 +126,15 @@ class TestStages:
         run("enumerate", SMALL, tmp_path)
         text = (tmp_path / "candidates.txt").read_text()
         assert text.count("\n") > SMALL.games  # several candidates per game
+
+    def test_manifest_lists_each_stage_outputs(self, tmp_path):
+        pipeline = [name for name, stage in STAGES.items() if stage.makes]
+        for name in pipeline:
+            assert run(name, SMALL, tmp_path) == 0, name
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert set(manifest) == set(pipeline)
+        for name in pipeline:
+            assert set(manifest[name]) == set(STAGES[name].makes), name
 
     def test_manifest_accumulates_stages(self, tmp_path):
         run("synth", SMALL, tmp_path)

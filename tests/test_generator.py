@@ -4,8 +4,9 @@ import pytest
 from macroplan.autodiff import NO_GRAD, Tape
 from macroplan.generator import (BOS, EOS, UNK, GeneratorHyper, GeneratorModel,
                                  _ExtendedVocab, _copy_mask, _output_dists,
-                                 build_gen_vocab, decode_step, encode_plan,
-                                 generate, instance_loss, train_generator)
+                                 _surfaces, build_gen_vocab, decode_step,
+                                 encode_plan, generate, instance_loss,
+                                 train_generator)
 
 TINY = GeneratorHyper(emb_dim=8, hidden=6, epochs=1, seed=0)
 
@@ -126,15 +127,15 @@ class TestOutputMixture:
 
 class TestCopyMask:
     def test_marker_stripped_match(self):
-        mask = _copy_mask(PLAN, "9")
+        mask = _copy_mask(_surfaces(PLAN), "9")
         assert mask.tolist() == [0, 1, 0, 0, 0]
 
     def test_multiple_positions(self):
-        mask = _copy_mask(["<TR>9", "<RBI>9", "x"], "9")
+        mask = _copy_mask(_surfaces(["<TR>9", "<RBI>9", "x"]), "9")
         assert mask.tolist() == [1, 1, 0]
 
     def test_no_match(self):
-        assert _copy_mask(PLAN, "zebra").sum() == 0
+        assert _copy_mask(_surfaces(PLAN), "zebra").sum() == 0
 
 
 class TestInstanceLoss:

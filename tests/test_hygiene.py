@@ -1,5 +1,5 @@
 """Source hygiene checks that need no linter: every import in the package and
-the scripts is used."""
+the scripts is used, and so is every private top-level function and class."""
 
 import ast
 from pathlib import Path
@@ -50,3 +50,15 @@ def test_no_unused_imports(path):
               if name not in used]
     assert not unused, f"{path.relative_to(ROOT)}: unused imports: " \
         + ", ".join(unused)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_private_definitions(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used(tree)
+    unused = [f"{node.name} (line {node.lineno})" for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef))
+              and node.name.startswith("_") and node.name not in used]
+    assert not unused, f"{path.relative_to(ROOT)}: unused private " \
+        "definitions: " + ", ".join(unused)

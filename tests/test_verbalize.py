@@ -25,12 +25,11 @@ class TestMarkers:
 
 class TestVerbalizeEntity:
     def test_team(self, demo_game):
-        toks = verbalize_entity(demo_game.entity("Royals"), demo_game.schema)
+        toks = verbalize_entity(demo_game.entity("Royals"))
         assert toks == ["<TEAM>Royals", "<TR>9", "<TH>14", "<E>0"]
 
     def test_batter_schema_order(self, demo_game):
-        toks = verbalize_entity(demo_game.entity("C.Mullins"),
-                                demo_game.schema)
+        toks = verbalize_entity(demo_game.entity("C.Mullins"))
         assert toks[0] == "<PLAYER>C.Mullins"
         types = [t[1:t.index(">")] for t in toks[1:]]
         assert types == ["H/V", "AB", "BR", "BH", "RBI", "TEAM"]
