@@ -27,10 +27,8 @@ def main() -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
 
-    for stage, spec in STAGES.items():
-        # gradcheck makes no artifact and is not part of the pipeline
-        if not spec.makes or (args.skip_training
-                              and stage.startswith("train-")):
+    for stage in STAGES:
+        if args.skip_training and stage.startswith("train-"):
             continue
         print(f"==> {stage}")
         status = run(stage, cfg, Path(args.out))

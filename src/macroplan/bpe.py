@@ -21,14 +21,12 @@ class BpeModel:
     merges: tuple[tuple[str, str], ...]
     protected_tokens: frozenset
     base_symbols: frozenset = frozenset()
-    #: marker-fused value tokens (``<TR>9``) pass through whole even when the
-    #: concrete value never occurred in training
-    protect_markers: bool = True
 
     def is_protected(self, token: str) -> bool:
-        if token in self.protected_tokens:
-            return True
-        return self.protect_markers and is_marker_token(token)
+        """Protected tokens and marker-fused value tokens (``<TR>9``) pass
+        through whole, the latter even when the concrete value never
+        occurred in training."""
+        return token in self.protected_tokens or is_marker_token(token)
 
     def vocabulary(self) -> set[str]:
         """Symbol inventory: base characters plus one symbol per merge plus

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 from .data import AliasTable, Game, SummaryDoc, numeric_value, split_sentences
 from .oracle import derive_macro_plan, match_entities
@@ -181,12 +181,8 @@ def rg(pred_relations: list[Relation], game: Game) -> tuple[float, float]:
 
 def cs(pred_relations, gold_relations) -> tuple[float, float, float]:
     """Multiset precision/recall/F1 (%) of predicted vs gold items."""
-    pred, gold = Counter(pred_relations), Counter(gold_relations)
-    overlap = sum((pred & gold).values())
-    p = 100.0 * overlap / sum(pred.values()) if pred else 0.0
-    r = 100.0 * overlap / sum(gold.values()) if gold else 0.0
-    f = 2 * p * r / (p + r) if p + r > 0 else 0.0
-    return p, r, f
+    return intrinsic_plan_eval([list(pred_relations)],
+                               [list(gold_relations)])[:3]
 
 
 def dl_distance(a, b) -> int:
@@ -264,10 +260,10 @@ def plan_identifiers(specs: list[ParagraphPlanSpec]) -> list[str]:
     return [ident for s in specs for ident in s.identifiers()]
 
 
-def intrinsic_plan_eval(pred_plans: list[list[str]],
-                        gold_plans: list[list[str]]):
-    """(CS-P, CS-R, CS-F, CO) over entity/event identifier sequences.
-    CS is aggregated over all instances (micro); CO is the per-instance mean."""
+def intrinsic_plan_eval(pred_plans: list[list], gold_plans: list[list]):
+    """(CS-P, CS-R, CS-F, CO) over sequences of hashable items: entity/event
+    identifiers of plans, or the relations of summaries.  CS is aggregated
+    over all instances (micro); CO is the per-instance mean."""
     if len(pred_plans) != len(gold_plans):
         raise ValueError("pred/gold plan counts differ")
     overlap = total_pred = total_gold = 0
@@ -299,7 +295,6 @@ def plan_fidelity(summary: SummaryDoc, plan_specs: list[ParagraphPlanSpec],
 
 
 def _with_summary(game: Game, summary: SummaryDoc) -> Game:
-    from dataclasses import replace
     return replace(game, summary=summary)
 
 
@@ -339,28 +334,21 @@ def evaluate_summaries(pred: list[SummaryDoc], games: list[Game],
     per-game mean; BLEU is corpus-level."""
     aliases = aliases or AliasTable()
     total_rel = supported = 0
-    overlap = total_pred = total_gold = 0
-    co_vals = []
+    pred_rels, gold_rels = [], []
     bleu_pairs = []
     for doc, game in zip(pred, games):
         pred_rel = extract_relations(doc, game, lexicon, aliases)
-        gold_rel = extract_relations(game.summary, game, lexicon, aliases)
         total_rel += len(pred_rel)
         supported += sum(1 for r in pred_rel if _table_supported(r, game))
-        pc, gc = Counter(pred_rel), Counter(gold_rel)
-        overlap += sum((pc & gc).values())
-        total_pred += len(pred_rel)
-        total_gold += len(gold_rel)
-        co_vals.append(co(pred_rel, gold_rel))
+        pred_rels.append(pred_rel)
+        gold_rels.append(
+            extract_relations(game.summary, game, lexicon, aliases))
         bleu_pairs.append((doc.tokens(), game.summary.tokens()))
-    csp = 100.0 * overlap / total_pred if total_pred else 0.0
-    csr = 100.0 * overlap / total_gold if total_gold else 0.0
-    csf = 2 * csp * csr / (csp + csr) if csp + csr > 0 else 0.0
+    csp, csr, csf, mean_co = intrinsic_plan_eval(pred_rels, gold_rels)
     report = MetricsReport(
         rg_count=total_rel / len(games) if games else 0.0,
         rg_precision=100.0 * supported / total_rel if total_rel else 100.0,
-        cs_precision=csp, cs_recall=csr, cs_f=csf,
-        co=sum(co_vals) / len(co_vals) if co_vals else 100.0,
+        cs_precision=csp, cs_recall=csr, cs_f=csf, co=mean_co,
         bleu=corpus_bleu(bleu_pairs),
         plan_cs_f=plan_scores[0] if plan_scores else None,
         plan_co=plan_scores[1] if plan_scores else None,

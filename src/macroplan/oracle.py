@@ -19,7 +19,6 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "EntityMention",
-    "InningMention",
     "InningLexicon",
     "match_entities",
     "classify_inning_mention",
@@ -41,13 +40,6 @@ ORDINAL_WORDS = {
 class EntityMention:
     entity: str
     token_span: tuple[int, int]  # [start, end) indices in the paragraph
-
-
-@dataclass(frozen=True)
-class InningMention:
-    ordinal_token_index: int
-    inning: int
-    half: str
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,10 @@
+from hypothesis import given, settings, strategies as st
+
 from macroplan.candidates import augment_with_gold, enumerate_candidates
-from macroplan.verbalize import ParagraphPlanSpec
+from macroplan.data import AliasTable
+from macroplan.oracle import derive_macro_plan
+from macroplan.synth import SynthConfig, synth_league
+from macroplan.verbalize import ParagraphPlanSpec, is_marker_token
 
 
 def _kinds(cands):
@@ -71,3 +76,21 @@ class TestAugment:
         augment_with_gold(cands, [ParagraphPlanSpec(
             "event-group", (), ((1, "T"), (2, "T")))])
         assert len(cands) == n
+
+
+class TestMarkerTokens:
+    """The planner reads candidate tokens whole, with no byte-pair model:
+    that holds because every token it sees is marker-fused."""
+
+    @given(seed=st.integers(0, 2**16), kind=st.sampled_from(
+        ["event-rich", "event-free"]))
+    @settings(max_examples=10, deadline=None)
+    def test_candidate_and_gold_tokens_are_markers(self, seed, kind):
+        league = synth_league(SynthConfig(games=2, innings=3, seed=seed,
+                                          kind=kind))
+        for game, _ in league:
+            _, gold = derive_macro_plan(game, AliasTable())
+            for spec in enumerate_candidates(game) + gold:
+                assert spec.tokens
+                assert all(is_marker_token(t) for t in spec.tokens), \
+                    spec.tokens

@@ -90,9 +90,23 @@ class TestStageOrdering:
         assert run("evaluate", SMALL, tmp_path) == 1
         assert "summaries.jsonl" in capsys.readouterr().err
 
+    def test_evaluate_without_gold_plans_fails(self, tmp_path, capsys):
+        for name in STAGES:
+            if name == "evaluate":
+                break
+            assert run(name, SMALL, tmp_path) == 0, name
+        (tmp_path / "plans_gold.txt").unlink()
+        capsys.readouterr()
+        assert run("evaluate", SMALL, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'derive-plans'" in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_needs_are_made_by_an_earlier_stage(self):
         made = set()
         for name, stage in STAGES.items():
+            assert stage.makes, name
             assert set(stage.needs) <= made, name
             made |= set(stage.makes)
 
@@ -128,13 +142,15 @@ class TestStages:
         assert text.count("\n") > SMALL.games  # several candidates per game
 
     def test_manifest_lists_each_stage_outputs(self, tmp_path):
-        pipeline = [name for name, stage in STAGES.items() if stage.makes]
-        for name in pipeline:
+        for name in STAGES:
             assert run(name, SMALL, tmp_path) == 0, name
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert set(manifest) == set(pipeline)
-        for name in pipeline:
-            assert set(manifest[name]) == set(STAGES[name].makes), name
+        assert set(manifest) == set(STAGES)
+        for name, stage in STAGES.items():
+            assert set(manifest[name]) == set(stage.makes), name
+        # every file a stage writes is declared, so the manifest hashes it
+        written = {p.name for p in tmp_path.iterdir()} - {"manifest.json"}
+        assert written == set().union(*manifest.values())
 
     def test_manifest_accumulates_stages(self, tmp_path):
         run("synth", SMALL, tmp_path)
