@@ -8,10 +8,8 @@ Usage:
 
 import argparse
 import sys
-from dataclasses import replace
-from pathlib import Path
 
-from macroplan.cli import STAGES, RunConfig, run
+from macroplan.cli import STAGES, main as run_stage
 
 
 def main() -> int:
@@ -23,15 +21,17 @@ def main() -> int:
                         help="reuse checkpoints already in --out")
     args = parser.parse_args()
 
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+    # each stage reads the config through the command line's own path
+    common = ["--out", args.out]
+    if args.config:
+        common += ["--config", args.config]
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-
+        common += ["--seed", str(args.seed)]
     for stage in STAGES:
         if args.skip_training and stage.startswith("train-"):
             continue
         print(f"==> {stage}")
-        status = run(stage, cfg, Path(args.out))
+        status = run_stage([stage, *common])
         if status != 0:
             return status
     return 0

@@ -17,6 +17,9 @@ import numpy as np
 __all__ = ["Tape", "Tensor", "ShapeError", "NoGrad", "NO_GRAD"]
 
 
+NLL_FLOOR = 1e-12
+
+
 class ShapeError(ValueError):
     pass
 
@@ -197,48 +200,33 @@ class Tape:
         self._record(out, backward)
         return out
 
-    def slice_last(self, a: "Tensor", start: int, stop: int) -> "Tensor":
-        out = Tensor(a.data[..., start:stop], self)
-
-        def backward():
-            g = np.zeros_like(a.data)
-            g[..., start:stop] = out.grad
-            a.accum(g)
-        self._record(out, backward)
+    def _index(self, a: "Tensor", key) -> "Tensor":
+        """``a[key]`` for a basic-index ``key``."""
+        out = Tensor(a.data[key], self)
+        self._record(out, lambda: a.accum_at(key, out.grad))
         return out
+
+    def slice_last(self, a: "Tensor", start: int, stop: int) -> "Tensor":
+        return self._index(a, (Ellipsis, slice(start, stop)))
 
     def row(self, a: "Tensor", i: int) -> "Tensor":
-        out = Tensor(a.data[i], self)
-
-        def backward():
-            g = np.zeros_like(a.data)
-            g[i] = out.grad
-            a.accum(g)
-        self._record(out, backward)
-        return out
+        return self._index(a, i)
 
     def column(self, a: "Tensor", j: int, keepdims: bool = True) -> "Tensor":
-        data = a.data[:, j:j + 1] if keepdims else a.data[:, j]
-        out = Tensor(data, self)
-
-        def backward():
-            g = np.zeros_like(a.data)
-            if keepdims:
-                g[:, j:j + 1] = out.grad
-            else:
-                g[:, j] = out.grad
-            a.accum(g)
-        self._record(out, backward)
-        return out
+        return self._index(a, (slice(None),
+                               slice(j, j + 1) if keepdims else j))
 
     def gather_rows(self, table: "Tensor", indices) -> "Tensor":
         idx = np.asarray(indices, dtype=np.int64)
         out = Tensor(table.data[idx], self)
 
         def backward():
-            g = np.zeros_like(table.data)
-            np.add.at(g, idx, out.grad)
-            table.accum(g)
+            # sum repeated ids apart from table.grad, in index order, so that
+            # each gathered row reaches the table as one addition
+            rows, inverse = np.unique(idx, return_inverse=True)
+            g = np.zeros((rows.size,) + table.data.shape[1:])
+            np.add.at(g, inverse, out.grad)
+            table.accum_at(rows, g)
         self._record(out, backward)
         return out
 
@@ -259,7 +247,7 @@ class Tape:
             g = out.grad
             if axis is not None:
                 g = np.expand_dims(g, axis)
-            a.accum(np.broadcast_to(g, a.data.shape).copy())
+            a.accum(np.broadcast_to(g, a.data.shape))
         self._record(out, backward)
         return out
 
@@ -269,28 +257,16 @@ class Tape:
 
     def pick(self, a: "Tensor", index) -> "Tensor":
         """Select a single element (scalar output)."""
-        out = Tensor(np.asarray(a.data[index]), self)
-
-        def backward():
-            g = np.zeros_like(a.data)
-            g[index] = out.grad
-            a.accum(g)
-        self._record(out, backward)
-        return out
+        return self._index(a, index)
 
     def neg(self, a: "Tensor") -> "Tensor":
         return self.scale(a, -1.0)
 
-    def nll_pick(self, probs: "Tensor", index, eps: float = 1e-12) -> "Tensor":
-        """-log(probs[index]) with numerical floor ``eps``."""
-        p = float(probs.data[index])
-        out = Tensor(np.asarray(-np.log(max(p, eps))), self)
-
-        def backward():
-            g = np.zeros_like(probs.data)
-            g[index] = -out.grad / max(p, eps)
-            probs.accum(g)
-        self._record(out, backward)
+    def nll_pick(self, probs: "Tensor", index) -> "Tensor":
+        """-log(probs[index]) with numerical floor ``NLL_FLOOR``."""
+        p = max(float(probs.data[index]), NLL_FLOOR)
+        out = Tensor(np.asarray(-np.log(p)), self)
+        self._record(out, lambda: probs.accum_at(index, -out.grad / p))
         return out
 
 
@@ -375,8 +351,16 @@ class Tensor:
 
     def accum(self, g: np.ndarray) -> None:
         if self.grad is None:
+            # a copy: ops hand one array to several parents
+            self.grad = np.array(g, order="C")
+        else:
+            self.grad += g
+
+    def accum_at(self, key, g: np.ndarray) -> None:
+        """Add ``g`` into ``grad[key]``; ``key`` selects no element twice."""
+        if self.grad is None:
             self.grad = np.zeros_like(self.data)
-        self.grad += g
+        self.grad[key] += g
 
     def item(self) -> float:
         return float(self.data)

@@ -44,6 +44,11 @@ class StageError(RuntimeError):
     """A stage was invoked before the stages it depends on."""
 
 
+#: the JSON values each annotation of a ``RunConfig`` field accepts
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str,
+               "str | None": (str, type(None))}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     games: int = 100
@@ -76,10 +81,16 @@ class RunConfig:
     def from_file(path) -> "RunConfig":
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        known = set(RunConfig.__dataclass_fields__)
-        unknown = set(obj) - known
+        fields = RunConfig.__dataclass_fields__
+        unknown = set(obj) - set(fields)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in obj.items():
+            # bool is an int subclass, but JSON true is not a number
+            if isinstance(value, bool) or not isinstance(
+                    value, _JSON_TYPES[fields[key].type]):
+                raise ValueError(f"config key {key!r} must be "
+                                 f"{fields[key].type}, not {value!r}")
         return RunConfig(**obj)
 
     def aliases(self) -> AliasTable:

@@ -14,7 +14,8 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 
 from .data import AliasTable, Game, SummaryDoc, numeric_value, split_sentences
-from .oracle import derive_macro_plan, match_entities
+from .oracle import (DEFAULT_INNING_LEXICON, InningLexicon, derive_macro_plan,
+                     match_entities)
 from .verbalize import ParagraphPlanSpec
 
 __all__ = [
@@ -214,23 +215,25 @@ def co(pred_seq, gold_seq) -> float:
 # ---------------------------------------------------------------------------
 # BLEU
 
+BLEU_MAX_ORDER = 4
+
 
 def _ngrams(tokens, n) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def corpus_bleu(pairs: list[tuple[list, list]], max_order: int = 4) -> float:
+def corpus_bleu(pairs: list[tuple[list, list]]) -> float:
     """Corpus BLEU-4, uniform weights, clipped counts, brevity penalty.
     Orders with no candidate n-grams anywhere are skipped; an order with
     n-grams but zero matches zeroes the score."""
-    matches = [0] * max_order
-    totals = [0] * max_order
+    matches = [0] * BLEU_MAX_ORDER
+    totals = [0] * BLEU_MAX_ORDER
     cand_len = 0
     ref_len = 0
     for candidate, reference in pairs:
         cand_len += len(candidate)
         ref_len += len(reference)
-        for n in range(1, max_order + 1):
+        for n in range(1, BLEU_MAX_ORDER + 1):
             cand_ngrams = _ngrams(candidate, n)
             ref_ngrams = _ngrams(reference, n)
             totals[n - 1] += sum(cand_ngrams.values())
@@ -238,12 +241,12 @@ def corpus_bleu(pairs: list[tuple[list, list]], max_order: int = 4) -> float:
     if cand_len == 0:
         return 0.0
     log_sum = 0.0
-    for n in range(max_order):
+    for n in range(BLEU_MAX_ORDER):
         if totals[n] == 0:
             continue
         if matches[n] == 0:
             return 0.0
-        log_sum += math.log(matches[n] / totals[n]) / max_order
+        log_sum += math.log(matches[n] / totals[n]) / BLEU_MAX_ORDER
     bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
     return 100.0 * bp * math.exp(log_sum)
 
@@ -283,12 +286,13 @@ def intrinsic_plan_eval(pred_plans: list[list], gold_plans: list[list]):
 
 def plan_fidelity(summary: SummaryDoc, plan_specs: list[ParagraphPlanSpec],
                   game: Game, aliases: AliasTable | None = None,
-                  **derive_kwargs) -> tuple[float, float]:
+                  lexicon: InningLexicon = DEFAULT_INNING_LEXICON
+                  ) -> tuple[float, float]:
     """Reverse-engineer a plan from ``summary`` and compare it to
     ``plan_specs``; returns (CS-F, CO)."""
     aliases = aliases or AliasTable()
     reverse_game = _with_summary(game, summary)
-    _, derived = derive_macro_plan(reverse_game, aliases, **derive_kwargs)
+    _, derived = derive_macro_plan(reverse_game, aliases, lexicon)
     _, _, f, co_val = intrinsic_plan_eval(
         [plan_identifiers(derived)], [plan_identifiers(plan_specs)])
     return f, co_val

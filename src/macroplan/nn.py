@@ -22,6 +22,12 @@ __all__ = [
 
 ADAGRAD_EPS = 1e-10
 INIT_RANGE = 0.1
+GRAD_CHECK_STEP = 1e-5
+#: lower bound on the denominator of :func:`grad_check`'s relative error, so
+#: that coordinates whose true gradient sits at the cancellation noise level
+#: of the finite difference (about machine-eps times the loss magnitude over
+#: the step) do not register as spurious mismatches
+GRAD_CHECK_FLOOR = 1e-5
 
 
 class Parameter:
@@ -181,18 +187,11 @@ def fit(model, loss_fn, data: list, rng: np.random.Generator) -> list[float]:
     return trace
 
 
-def grad_check(loss_fn, store: ParamStore, h: float = 1e-5,
-               max_coords: int | None = None,
-               rng: np.random.Generator | None = None,
-               floor: float = 1e-5) -> float:
+def grad_check(loss_fn, store: ParamStore, max_coords: int | None = None,
+               rng: np.random.Generator | None = None) -> float:
     """Compare analytic gradients of ``loss_fn`` (a zero-argument callable
     returning a scalar Tensor whose tape has the store bound) against central
-    finite differences.  Returns the worst relative error.
-
-    ``floor`` bounds the denominator of the relative error from below so that
-    coordinates whose true gradient sits at the cancellation noise level of
-    the finite difference (about machine-eps times the loss magnitude over
-    ``h``) do not register as spurious mismatches."""
+    finite differences.  Returns the worst relative error."""
     loss = loss_fn()
     if not np.isfinite(loss.data).all():
         raise ValueError("loss is not finite")
@@ -216,14 +215,15 @@ def grad_check(loss_fn, store: ParamStore, h: float = 1e-5,
         a_flat = analytic[name].reshape(-1)
         for idx in coords:
             orig = flat[idx]
-            flat[idx] = orig + h
+            flat[idx] = orig + GRAD_CHECK_STEP
             f_plus = float(loss_fn().data)
-            flat[idx] = orig - h
+            flat[idx] = orig - GRAD_CHECK_STEP
             f_minus = float(loss_fn().data)
             flat[idx] = orig
-            numeric = (f_plus - f_minus) / (2.0 * h)
+            numeric = (f_plus - f_minus) / (2.0 * GRAD_CHECK_STEP)
             a = a_flat[idx]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), floor)
+            rel = abs(a - numeric) / max(abs(a), abs(numeric),
+                                         GRAD_CHECK_FLOOR)
             worst = max(worst, rel)
     return worst
 

@@ -1,9 +1,7 @@
 """Gold macro-plan construction from (tables, summary) pairs.
 
 Inning-mention disambiguation uses a deterministic cue-lexicon heuristic in
-place of a pretrained-LM scorer; the lexicon is configurable and any callable
-with the same contract can be plugged in via ``derive_macro_plan``'s
-``inning_classifier`` argument.
+place of a pretrained-LM scorer; the lexicon is configurable.
 """
 
 from __future__ import annotations
@@ -201,18 +199,16 @@ def _looks_like_score(tok: str) -> bool:
 
 def find_inning_mentions(paragraph: list[str], prev_paragraph: list[str],
                          game: Game,
-                         lexicon: InningLexicon = DEFAULT_INNING_LEXICON,
-                         classifier=None) -> list[int]:
+                         lexicon: InningLexicon = DEFAULT_INNING_LEXICON
+                         ) -> list[int]:
     """Ordinal token indices classified as inning mentions, in textual order."""
-    classify = classifier or (
-        lambda p, pp, i: classify_inning_mention(p, pp, i, lexicon))
     max_inning = max((ev.inning for ev in game.events), default=0)
     out = []
     for i, tok in enumerate(paragraph):
         inning = ORDINAL_WORDS.get(tok.lower())
         if inning is None or inning > max_inning:
             continue
-        if classify(paragraph, prev_paragraph, i):
+        if classify_inning_mention(paragraph, prev_paragraph, i, lexicon):
             out.append(i)
     return out
 
@@ -251,8 +247,7 @@ def resolve_half(inning: int, mentions: list[EntityMention], game: Game) -> str:
 
 
 def derive_macro_plan(game: Game, aliases: AliasTable,
-                      lexicon: InningLexicon = DEFAULT_INNING_LEXICON,
-                      inning_classifier=None):
+                      lexicon: InningLexicon = DEFAULT_INNING_LEXICON):
     """One ParagraphPlanSpec per summary paragraph; returns
     ``(MacroPlan, specs)`` with the plan pointing at the specs in paragraph
     order.  Paragraphs matching nothing are dropped with a warning."""
@@ -267,7 +262,7 @@ def derive_macro_plan(game: Game, aliases: AliasTable,
         event_refs: list[tuple[int, str]] = []
         if game.kind == "event-rich":
             for idx in find_inning_mentions(paragraph, prev_tokens, game,
-                                            lexicon, inning_classifier):
+                                            lexicon):
                 inning = ORDINAL_WORDS[paragraph[idx].lower()]
                 try:
                     half = resolve_half(inning, mentions, game)

@@ -116,7 +116,7 @@ def encode_candidates(tape: Tape | NoGrad, model: PlannerModel,
     for idx, seq in enumerate(id_seqs):
         by_len.setdefault(len(seq), []).append(idx)
 
-    pooled = {}
+    pooled, order = [], []
     for length, members in sorted(by_len.items()):
         ids = np.array([id_seqs[i] for i in members], dtype=np.int64)  # (B, T)
         inputs = [tape.gather_rows(emb, ids[:, t]) for t in range(length)]
@@ -129,9 +129,10 @@ def encode_candidates(tape: Tape | NoGrad, model: PlannerModel,
         acc = tape.mul(tape.column(alpha, 0), states[0])
         for t in range(1, length):
             acc = tape.add(acc, tape.mul(tape.column(alpha, t), states[t]))
-        for pos, idx in enumerate(members):
-            pooled[idx] = tape.row(acc, pos)
-    return tape.stack_rows([pooled[i] for i in range(len(id_seqs))])
+        pooled.append(acc)
+        order.extend(members)
+    # rows are in bucket order; put them back in candidate order
+    return tape.gather_rows(tape.concat(pooled, axis=0), np.argsort(order))
 
 
 def contextualize(tape: Tape | NoGrad, model: PlannerModel, reps):
@@ -187,10 +188,11 @@ def instance_loss(tape: Tape, model: PlannerModel, id_seqs,
     k = len(id_seqs)
     h = tape.mean(reps_c, axis=0)
     c = tape.zeros(h.data.shape)
-    x = store.t("start")
+    x = tape.param(store, "start")
+    W, b = tape.param(store, "dec.W"), tape.param(store, "dec.b")
     loss = None
     for target in list(pointer_seq) + [k]:
-        h, c = lstm_step(tape, x, h, c, store.t("dec.W"), store.t("dec.b"))
+        h, c = lstm_step(tape, x, h, c, W, b)
         dist = pointer_step(tape, model, h, all_reps)
         step_loss = tape.nll_pick(dist, target)
         loss = step_loss if loss is None else tape.add(loss, step_loss)

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from macroplan.autodiff import ShapeError, Tape
+from macroplan.autodiff import NLL_FLOOR, ShapeError, Tape, Tensor
+from macroplan.generator import (GeneratorHyper, GeneratorModel,
+                                 build_gen_vocab)
+from macroplan.generator import instance_loss as generator_loss
+from macroplan.nn import ParamStore
+from macroplan.planner import PlannerHyper, PlannerModel, build_vocab
+from macroplan.planner import instance_loss as planner_loss
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False,
                    allow_infinity=False, width=64)
@@ -304,3 +310,121 @@ class TestTapeMechanics:
             assert np.allclose(x.grad, 2 * (1 - np.tanh(1.0) ** 2))
         finally:
             gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the index ops' backward as it was before ``Tensor.accum_at``
+
+
+def _parent_accum(self, g):
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    self.grad += g
+
+
+class ParentTape(Tape):
+    """Each index op's backward writes its slice into a zero array the size
+    of the parent and adds that whole array into the parent's gradient;
+    run it with ``_parent_accum`` as ``Tensor.accum``."""
+
+    def _scatter(self, a, out, write):
+        def backward():
+            g = np.zeros_like(a.data)
+            write(g, out.grad)
+            a.accum(g)
+        self._record(out, backward)
+        return out
+
+    def _index(self, a, key):
+        out = Tensor(a.data[key], self)
+        return self._scatter(a, out, lambda g, og: g.__setitem__(key, og))
+
+    def gather_rows(self, table, indices):
+        idx = np.asarray(indices, dtype=np.int64)
+        out = Tensor(table.data[idx], self)
+        return self._scatter(table, out,
+                             lambda g, og: np.add.at(g, idx, og))
+
+    def nll_pick(self, probs, index):
+        p = max(float(probs.data[index]), NLL_FLOOR)
+        out = Tensor(np.asarray(-np.log(p)), self)
+        return self._scatter(probs, out,
+                             lambda g, og: g.__setitem__(index, -og / p))
+
+
+def _micro_planner():
+    """AC1's micro planner; the two length-2 candidates share their second
+    token, so one ``gather_rows`` reads a row twice."""
+    seqs = [["a", "b", "c"], ["d", "e"], ["f", "g", "h", "a"], ["b", "e"],
+            ["c"]]
+    hyper = PlannerHyper(emb_dim=5, hidden=4, seed=1)
+    model = PlannerModel.init(build_vocab(seqs), hyper,
+                              np.random.default_rng(1))
+    ids = [model.token_ids(s) for s in seqs]
+    return model.store, lambda tape: planner_loss(tape, model, ids, [0, 3, 1])
+
+
+def _micro_generator():
+    """AC1's micro generator."""
+    plan = ["<TEAM>Ra", "<TR>9", "<P>", "<PLAYER>Bo", "<RBI>1", "<INN>2"]
+    target = ["the", "Ra", "scored", "9", "."]
+    hyper = GeneratorHyper(emb_dim=5, hidden=4, seed=2)
+    model = GeneratorModel.init(build_gen_vocab([(plan, target)]), hyper,
+                                np.random.default_rng(2))
+    return model.store, lambda tape: generator_loss(tape, model, plan, target)
+
+
+def _index_ops():
+    """Every index op, each parent read more than once, and a table whose
+    gradient is already set when a gather with repeated ids adds to it."""
+    store = ParamStore()
+    store.create("x", (4, 6), np.random.default_rng(5))
+
+    def loss(tape):
+        x = store.t("x")
+        w = tape.tensor(np.random.default_rng(6).normal(size=(3, 6)))
+        parts = [tape.sum(tape.mul(tape.gather_rows(x, [2, 0, 2]), w)),
+                 tape.sum(tape.mul(tape.gather_rows(x, [1, 2, 2]), w)),
+                 tape.sum(tape.slice_last(x, 1, 4)),
+                 tape.sum(tape.mul(tape.row(x, 2), tape.row(x, 3))),
+                 tape.sum(tape.column(x, 5)),
+                 tape.sum(tape.column(x, 0, keepdims=False)),
+                 tape.pick(x, (1, 2)),
+                 tape.nll_pick(tape.softmax(tape.row(x, 1)), 4)]
+        total = parts[0]
+        for part in parts[1:]:
+            total = tape.add(total, part)
+        return total
+    return store, loss
+
+
+class TestAccumulation:
+    def test_first_gradient_is_copied(self):
+        # add hands one array to both parents: a's first gradient must not
+        # be the array that y (and through it b) later reads
+        tape = Tape()
+        a, b = tape.tensor(np.ones(3)), tape.tensor(np.ones(3))
+        y = tape.add(a, b)
+        z = tape.add(y, a)
+        tape.backward(tape.sum(z))
+        assert np.array_equal(a.grad, np.full(3, 2.0))
+        assert np.array_equal(b.grad, np.ones(3))
+
+    @pytest.mark.parametrize("build", [_micro_planner, _micro_generator,
+                                       _index_ops],
+                             ids=["planner", "generator", "index-ops"])
+    def test_gradients_equal_parent_backward(self, build, monkeypatch):
+        store, loss_fn = build()
+
+        def grads(tape):
+            store.bind(tape)
+            tape.backward(loss_fn(tape))
+            return store.grads()
+
+        new = grads(Tape())
+        with monkeypatch.context() as m:
+            m.setattr(Tensor, "accum", _parent_accum)
+            old = grads(ParentTape())
+        assert new.keys() == old.keys()
+        for name in new:
+            assert np.array_equal(new[name], old[name]), name

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from macroplan.cli import (STAGES, RunConfig, StageError, format_plan_line,
-                           parse_plan_line, read_plan_file, run)
+                           main, parse_plan_line, read_plan_file, run)
 from macroplan.oracle import derive_macro_plan
 from macroplan.planner import MacroPlan
 
@@ -27,6 +31,32 @@ class TestRunConfig:
         path.write_text(json.dumps({"games": 12, "bogus_option": 1}))
         with pytest.raises(ValueError, match="bogus_option"):
             RunConfig.from_file(path)
+
+    def test_wrong_type_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"games": "x"}))
+        assert main(["synth", "--config", str(path),
+                     "--out", str(tmp_path / "work")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'games'" in err
+
+    @pytest.mark.parametrize("content", [{"games": 4, "bogus_option": 1},
+                                         None],
+                             ids=["unknown-key", "missing-file"])
+    def test_run_pipeline_config_error_is_one_line(self, tmp_path, content):
+        path = tmp_path / "cfg.json"
+        if content is not None:
+            path.write_text(json.dumps(content))
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "run_pipeline.py"),
+             "--config", str(path), "--out", str(tmp_path / "work")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
 
     def test_missing_lexicon_path_rejected(self):
         cfg = RunConfig(alias_path="/nonexistent/aliases.json")
@@ -160,7 +190,6 @@ class TestStages:
 
 
 def test_main_cli_smoke(tmp_path, capsys):
-    from macroplan.cli import main
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"games": 4, "innings": 2, "holdout": 1}))
     rc = main(["synth", "--config", str(cfg_path), "--seed", "3",

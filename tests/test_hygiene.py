@@ -1,9 +1,11 @@
 """Source hygiene checks that need no linter: every import in the package and
 the scripts is used, and so is every private top-level function and class.
 Every public top-level function and class of the package is referenced by
-the package, the scripts or the tests."""
+the package, the scripts or the tests, and every optional parameter of the
+package is set by some call."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -97,3 +99,64 @@ def test_no_unreferenced_public_definitions(path):
                     and node.name not in referenced]
     assert not unreferenced, f"{path.relative_to(ROOT)}: public " \
         "definitions nothing references: " + ", ".join(unreferenced)
+
+
+CALL_SITES = sorted(p for d in ("src", "scripts", "tests", "bench")
+                    for p in (ROOT / d).rglob("*.py"))
+#: stands for every parameter: set by a call that passes *args or **kwargs
+EVERY = object()
+
+
+def _optional_parameters(tree):
+    """(callee, parameter, position) of every parameter with a default of a
+    top-level function or of a method; the callee of ``__init__`` is its
+    class, and the position counts the arguments a call passes (None for a
+    keyword-only parameter)."""
+    defs = [(node.name, node, 0) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            defs += [
+                (cls.name if node.name == "__init__" else node.name, node,
+                 0 if any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                          for d in node.decorator_list) else 1)
+                for node in cls.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for callee, node, implicit in defs:
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for pos in range(first, len(positional)):
+            yield callee, positional[pos].arg, pos - implicit
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield callee, arg.arg, None
+
+
+def _set_by_calls():
+    """Callee name -> the parameter names and positions some call sets."""
+    set_by = defaultdict(set)
+    for path in CALL_SITES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None)
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords):
+                set_by[name].add(EVERY)
+            set_by[name].update(range(len(node.args)))
+            set_by[name].update(k.arg for k in node.keywords)
+    return set_by
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unset_optional_parameters(path):
+    set_by = _set_by_calls()
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unset = [f"{callee}({param})"
+             for callee, param, pos in _optional_parameters(tree)
+             if not {EVERY, param, pos} & set_by[callee]]
+    assert not unset, f"{path.relative_to(ROOT)}: optional parameters no " \
+        "call sets: " + ", ".join(unset)
