@@ -269,6 +269,31 @@ class Tape:
         self._record(out, lambda: probs.accum_at(index, -out.grad / p))
         return out
 
+    def lstm_cell(self, x: "Tensor", h: "Tensor", c: "Tensor", W: "Tensor",
+                  b: "Tensor") -> tuple["Tensor", "Tensor"]:
+        """One fused-gate LSTM step as one node; see :func:`_lstm_forward`.
+        Returns (h, c)."""
+        xh = np.concatenate([x.data, h.data], axis=-1)
+        h_new, c_new, ifo, g, tc = _lstm_forward(xh, c.data, W.data, b.data)
+        h_out, c_out = Tensor(h_new, self), Tensor(c_new, self)
+
+        def backward():
+            if h_out.grad is None and c_out.grad is None:
+                return
+            dz, dc = _lstm_backward(h_out.grad, c_out.grad, c.data, ifo, g,
+                                    tc)
+            b.accum(_unbroadcast(dz, b.data.shape))
+            if dz.ndim == 1:
+                dxh, dW = W.data @ dz, np.outer(xh, dz)
+            else:
+                dxh, dW = dz @ W.data.T, xh.T @ dz
+            x.accum(dxh[..., :x.data.shape[-1]])
+            h.accum(dxh[..., x.data.shape[-1]:])
+            c.accum(dc)
+            W.accum(dW)
+        self.nodes.append(backward)
+        return h_out, c_out
+
 
 class NoGrad:
     """The forward of the :class:`Tape` ops the models use, on plain arrays:
@@ -323,8 +348,51 @@ class NoGrad:
     def gather_rows(table, indices):
         return table[np.asarray(indices, dtype=np.int64)]
 
+    @staticmethod
+    def lstm_cell(x, h, c, W, b):
+        xh = np.concatenate([x, h], axis=-1)
+        return _lstm_forward(xh, c, W, b)[:2]
+
 
 NO_GRAD = NoGrad()
+
+
+def _lstm_forward(xh, c, W, b):
+    """A fused-gate LSTM step on arrays, gate order i, f, o, g along the last
+    axis: ``z = [x;h] @ W + b``, ``c' = f*c + i*g``, ``h' = o*tanh(c')``.
+    Returns (h', c') and what the backward reads: the i, f, o gates, g and
+    tanh(c')."""
+    hidden = c.shape[-1]
+    z = xh @ W + b
+    # one sigmoid over the i, f, o gates: elementwise, so it rounds as three
+    ifo = NoGrad.sigmoid(z[..., :3 * hidden])
+    g = np.tanh(z[..., 3 * hidden:])
+    c_new = ifo[..., hidden:2 * hidden] * c + ifo[..., :hidden] * g
+    tc = np.tanh(c_new)
+    return ifo[..., 2 * hidden:] * tc, c_new, ifo, g, tc
+
+
+def _lstm_backward(dh, dc, c, ifo, g, tc):
+    """The gradient of one :func:`_lstm_forward` step: (dz, dc) from the
+    gradients of h' and c', either of which may be None (not read
+    downstream), and the step's saved arrays.  Each product is taken in the
+    order the unfused cell's ops took it, so the two round alike."""
+    hidden = c.shape[-1]
+    i, f = ifo[..., :hidden], ifo[..., hidden:2 * hidden]
+    dz = np.empty(ifo.shape[:-1] + (4 * hidden,))
+    if dh is None:
+        dz[..., 2 * hidden:3 * hidden] = 0.0
+    else:
+        dz[..., 2 * hidden:3 * hidden] = dh * tc
+        dc_h = dh * ifo[..., 2 * hidden:] * (1.0 - tc * tc)
+        dc = dc_h if dc is None else dc + dc_h
+    dz[..., :hidden] = dc * g
+    dz[..., hidden:2 * hidden] = dc * c
+    difo = dz[..., :3 * hidden]
+    difo *= ifo
+    difo *= 1.0 - ifo
+    np.multiply(dc * i, 1.0 - g * g, out=dz[..., 3 * hidden:])
+    return dz, dc * f
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

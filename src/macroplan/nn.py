@@ -105,16 +105,7 @@ def lstm_step(tape: Tape | NoGrad, x, h, c, W, b):
         raise ShapeError(
             f"lstm_step: weight shape {W.shape} does not match "
             f"input {x.shape} / hidden {hidden}")
-    z = tape.add(tape.matmul(tape.concat([x, h], axis=-1), W), b)
-    # one sigmoid over the i, f, o gates: elementwise, so it rounds as three
-    ifo = tape.sigmoid(tape.slice_last(z, 0, 3 * hidden))
-    i = tape.slice_last(ifo, 0, hidden)
-    f = tape.slice_last(ifo, hidden, 2 * hidden)
-    o = tape.slice_last(ifo, 2 * hidden, 3 * hidden)
-    g = tape.tanh(tape.slice_last(z, 3 * hidden, 4 * hidden))
-    c_new = tape.add(tape.mul(f, c), tape.mul(i, g))
-    h_new = tape.mul(o, tape.tanh(c_new))
-    return h_new, c_new
+    return tape.lstm_cell(x, h, c, W, b)
 
 
 def bilstm_encode(tape: Tape | NoGrad, seq: list, W_f, b_f, W_b, b_b,
