@@ -294,6 +294,60 @@ class Tape:
         self.nodes.append(backward)
         return h_out, c_out
 
+    def lstm_sequence(self, xs: list["Tensor"], h0: "Tensor", c0: "Tensor",
+                      W: "Tensor", b: "Tensor"
+                      ) -> tuple[list["Tensor"], "Tensor"]:
+        """:meth:`lstm_cell` over the inputs ``xs``, all known before the
+        recurrence, as one node.  Returns (h of each step, last c).
+
+        The forward takes each step's product as the cell does, so its
+        values are the cell's to the bit.  The backward runs the steps in
+        reverse for each dz, then takes W's gradient as one product over
+        the stacked [x;h], b's as one sum and the inputs' as one product,
+        which round differently from per-step sums."""
+        n_in = xs[0].data.shape[-1]
+        h, c = h0.data, c0.data
+        hs, saved = [], []
+        for x in xs:
+            xh = np.concatenate([x.data, h], axis=-1)
+            h, c_new, ifo, g, tc = _lstm_forward(xh, c, W.data, b.data)
+            saved.append((xh, c, ifo, g, tc))
+            hs.append(Tensor(h, self))
+            c = c_new
+        c_out = Tensor(c, self)
+
+        def backward():
+            dc = c_out.grad
+            if dc is None and all(h_t.grad is None for h_t in hs):
+                return
+            W_h = W.data[n_in:]
+            dh, dzs = None, []
+            for h_t, (_, c_prev, ifo, g, tc) in zip(reversed(hs),
+                                                   reversed(saved)):
+                if dh is None:
+                    dh = h_t.grad
+                elif h_t.grad is not None:
+                    dh += h_t.grad
+                if dh is None and dc is None:   # no later output is read
+                    dzs.append(np.zeros(ifo.shape[:-1] + (4 * tc.shape[-1],)))
+                    continue
+                dz, dc = _lstm_backward(dh, dc, c_prev, ifo, g, tc)
+                dh = dz @ W_h.T
+                dzs.append(dz)
+            xh = np.stack([s[0] for s in saved])
+            dz = np.stack(dzs[::-1])
+            xh = xh.reshape(-1, xh.shape[-1])
+            dz = dz.reshape(-1, dz.shape[-1])
+            W.accum(xh.T @ dz)
+            b.accum(dz.sum(axis=0))
+            dx = (dz @ W.data[:n_in].T).reshape((len(xs),) + xs[0].data.shape)
+            for x, g in zip(xs, dx):
+                x.accum(g)
+            h0.accum(dh)
+            c0.accum(dc)
+        self.nodes.append(backward)
+        return hs, c_out
+
 
 class NoGrad:
     """The forward of the :class:`Tape` ops the models use, on plain arrays:
@@ -352,6 +406,14 @@ class NoGrad:
     def lstm_cell(x, h, c, W, b):
         xh = np.concatenate([x, h], axis=-1)
         return _lstm_forward(xh, c, W, b)[:2]
+
+    @staticmethod
+    def lstm_sequence(xs, h0, c0, W, b):
+        hs, h, c = [], h0, c0
+        for x in xs:
+            h, c = NoGrad.lstm_cell(x, h, c, W, b)
+            hs.append(h)
+        return hs, c
 
 
 NO_GRAD = NoGrad()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import NO_GRAD, NoGrad, Tape, Tensor
-from .nn import ParamStore, bilstm_encode, fit, lstm_step
+from .nn import ParamStore, bilstm_encode, fit, lstm_sequence, lstm_step
 from .verbalize import strip_marker
 
 log = logging.getLogger(__name__)
@@ -118,15 +118,11 @@ def encode_plan(tape: Tape | NoGrad, model: GeneratorModel,
     return S, h0, c0
 
 
-def decode_step(tape: Tape | NoGrad, model: GeneratorModel, S, prev_id,
-                h, c):
-    """One decoder step, for one hypothesis (``prev_id`` an id, ``h`` and
-    ``c`` (n,)) or a stack of them (``prev_id`` (B,) ids, ``h`` and ``c``
-    (B, n)).  Returns (h, c, combined state, attention weights)."""
+def decode_step(tape: Tape | NoGrad, model: GeneratorModel, S, h):
+    """Attention over the plan states ``S`` and the combination layer, given
+    the decoder state ``h`` of one hypothesis ((n,)) or a stack of them
+    ((B, n)).  Returns (combined state, attention weights)."""
     store = model.store
-    x = tape.gather_rows(tape.param(store, "emb"), prev_id)
-    h, c = lstm_step(tape, x, h, c, tape.param(store, "dec.W"),
-                     tape.param(store, "dec.b"))
     logits = tape.matmul(tape.matmul(h, tape.param(store, "W_att")),
                          tape.transpose(S))
     alpha = tape.softmax(logits, axis=-1)
@@ -134,7 +130,7 @@ def decode_step(tape: Tape | NoGrad, model: GeneratorModel, S, prev_id,
     comb = tape.tanh(tape.add(tape.matmul(tape.concat([h, ctx], axis=-1),
                                           tape.param(store, "W_comb")),
                               tape.param(store, "b_comb")))
-    return h, c, comb, alpha
+    return comb, alpha
 
 
 def _output_dists(tape: Tape | NoGrad, model: GeneratorModel, comb):
@@ -167,27 +163,33 @@ def instance_loss(tape: Tape, model: GeneratorModel, plan_tokens: list[str],
     encoder still receives gradient from every step through attention.
     """
     trunc = trunc or model.hyper.trunc
+    store = model.store
     plan_ids = [model.token_id(t) for t in plan_tokens]
     S, h, c = encode_plan(tape, model, plan_ids)
     surfaces = _surfaces(plan_tokens)
     targets = list(target_tokens) + [EOS]
-    prev = BOS
+    # teacher forcing: each decoder input is the previous target
+    input_ids = [model.token_id(t) for t in [BOS] + targets[:-1]]
+    emb = tape.param(store, "emb")
+    W, b = tape.param(store, "dec.W"), tape.param(store, "dec.b")
     loss = None
-    for step, target in enumerate(targets):
-        if step > 0 and step % trunc == 0:
-            h = tape.tensor(h.data)
-            c = tape.tensor(c.data)
-        h, c, comb, alpha = decode_step(tape, model, S, model.token_id(prev),
-                                        h, c)
-        p_gen, p_copy = _output_dists(tape, model, comb)
-        gen_p = tape.pick(p_gen, model.token_id(target))
-        mask = _copy_mask(surfaces, target)
-        copy_p = tape.matmul(alpha, tape.tensor(mask))
-        keep = tape.add_const(tape.neg(p_copy), 1.0)
-        p = tape.add(tape.mul(keep, gen_p), tape.mul(p_copy, copy_p))
-        step_loss = tape.neg(tape.log(tape.add_const(p, 1e-12)))
-        loss = step_loss if loss is None else tape.add(loss, step_loss)
-        prev = target
+    for start in range(0, len(targets), trunc):
+        if start:
+            h, c = tape.tensor(h.data), tape.tensor(c.data)
+        hs, c = lstm_sequence(
+            tape, [tape.row(emb, i) for i in input_ids[start:start + trunc]],
+            h, c, W, b)
+        h = hs[-1]
+        for h_t, target in zip(hs, targets[start:start + trunc]):
+            comb, alpha = decode_step(tape, model, S, h_t)
+            p_gen, p_copy = _output_dists(tape, model, comb)
+            gen_p = tape.pick(p_gen, model.token_id(target))
+            mask = _copy_mask(surfaces, target)
+            copy_p = tape.matmul(alpha, tape.tensor(mask))
+            keep = tape.add_const(tape.neg(p_copy), 1.0)
+            p = tape.add(tape.mul(keep, gen_p), tape.mul(p_copy, copy_p))
+            step_loss = tape.neg(tape.log(tape.add_const(p, 1e-12)))
+            loss = step_loss if loss is None else tape.add(loss, step_loss)
     return loss
 
 
@@ -288,13 +290,18 @@ def generate(plan_tokens: list[str], model: GeneratorModel,
                             [model.token_id(t) for t in plan_tokens])
     ext = _ExtendedVocab(model, plan_tokens)
 
+    emb, W_dec, b_dec = (NO_GRAD.param(model.store, name)
+                         for name in ("emb", "dec.W", "dec.b"))
+
     beams = [_Hyp((), 0.0, h0, c0, model.token_id(BOS))]
     finished: list[_Hyp] = []
     for _step in range(max_len):
-        h, c, comb, alpha = decode_step(
-            NO_GRAD, model, S, np.array([hyp.prev for hyp in beams]),
+        h, c = lstm_step(
+            NO_GRAD,
+            NO_GRAD.gather_rows(emb, np.array([hyp.prev for hyp in beams])),
             np.stack([hyp.h for hyp in beams]),
-            np.stack([hyp.c for hyp in beams]))
+            np.stack([hyp.c for hyp in beams]), W_dec, b_dec)
+        comb, alpha = decode_step(NO_GRAD, model, S, h)
         p_gen, p_copy = _output_dists(NO_GRAD, model, comb)
         dist = ext.mix(p_gen, p_copy, alpha)
         expansions: list[_Hyp] = []

@@ -12,6 +12,7 @@ __all__ = [
     "Parameter",
     "ParamStore",
     "lstm_step",
+    "lstm_sequence",
     "bilstm_encode",
     "adagrad_step",
     "fit",
@@ -93,6 +94,14 @@ class ParamStore:
                 if t.grad is not None}
 
 
+def _check_lstm(op: str, x, h, W) -> None:
+    hidden = h.shape[-1]
+    if W.shape != (x.shape[-1] + hidden, 4 * hidden):
+        raise ShapeError(
+            f"{op}: weight shape {W.shape} does not match "
+            f"input {x.shape} / hidden {hidden}")
+
+
 def lstm_step(tape: Tape | NoGrad, x, h, c, W, b):
     """One step of a fused-gate LSTM; gate order i, f, o, g along the last axis.
 
@@ -100,12 +109,15 @@ def lstm_step(tape: Tape | NoGrad, x, h, c, W, b):
     a tape the arguments are its tensors, under ``NO_GRAD`` plain arrays.
     Returns (h, c).
     """
-    hidden = h.shape[-1]
-    if W.shape != (x.shape[-1] + hidden, 4 * hidden):
-        raise ShapeError(
-            f"lstm_step: weight shape {W.shape} does not match "
-            f"input {x.shape} / hidden {hidden}")
+    _check_lstm("lstm_step", x, h, W)
     return tape.lstm_cell(x, h, c, W, b)
+
+
+def lstm_sequence(tape: Tape | NoGrad, xs: list, h, c, W, b):
+    """:func:`lstm_step` over the inputs ``xs`` from state (h, c), as one
+    tape node.  Returns (h of each step, last c)."""
+    _check_lstm("lstm_sequence", xs[0], h, W)
+    return tape.lstm_sequence(xs, h, c, W, b)
 
 
 def bilstm_encode(tape: Tape | NoGrad, seq: list, W_f, b_f, W_b, b_b,
@@ -116,15 +128,11 @@ def bilstm_encode(tape: Tape | NoGrad, seq: list, W_f, b_f, W_b, b_b,
     state_shape = seq[0].shape[:-1] + (hidden,)
 
     def run(inputs, W, b):
-        h, c = tape.zeros(state_shape), tape.zeros(state_shape)
-        states = []
-        for x in inputs:
-            h, c = lstm_step(tape, x, h, c, W, b)
-            states.append(h)
-        return states
+        return lstm_sequence(tape, inputs, tape.zeros(state_shape),
+                             tape.zeros(state_shape), W, b)[0]
 
     fwd = run(seq, W_f, b_f)
-    bwd = run(list(reversed(seq)), W_b, b_b)[::-1]
+    bwd = run(seq[::-1], W_b, b_b)[::-1]
     return [tape.concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import NO_GRAD, NoGrad, Tape, Tensor
-from .nn import ParamStore, bilstm_encode, fit, lstm_step
+from .nn import ParamStore, bilstm_encode, fit, lstm_sequence, lstm_step
 from .verbalize import PARAGRAPH_SEP, ParagraphPlanSpec
 
 log = logging.getLogger(__name__)
@@ -187,17 +187,17 @@ def instance_loss(tape: Tape, model: PlannerModel, id_seqs,
     all_reps = _reps_with_eom(tape, model, reps_c)
     k = len(id_seqs)
     h = tape.mean(reps_c, axis=0)
-    c = tape.zeros(h.data.shape)
-    x = tape.param(store, "start")
-    W, b = tape.param(store, "dec.W"), tape.param(store, "dec.b")
+    # teacher forcing: every decoder input is known before the recurrence
+    xs = [tape.param(store, "start")] + [tape.row(reps_c, target)
+                                         for target in pointer_seq]
+    hs, _ = lstm_sequence(tape, xs, h, tape.zeros(h.data.shape),
+                          tape.param(store, "dec.W"),
+                          tape.param(store, "dec.b"))
     loss = None
-    for target in list(pointer_seq) + [k]:
-        h, c = lstm_step(tape, x, h, c, W, b)
+    for h, target in zip(hs, list(pointer_seq) + [k]):
         dist = pointer_step(tape, model, h, all_reps)
         step_loss = tape.nll_pick(dist, target)
         loss = step_loss if loss is None else tape.add(loss, step_loss)
-        if target < k:
-            x = tape.row(reps_c, target)
     return loss
 
 

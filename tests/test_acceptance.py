@@ -23,7 +23,7 @@ from macroplan.generator import instance_loss as generator_loss
 from macroplan.metrics import (bleu, cs, dl_distance, extract_relations,
                                intrinsic_plan_eval, plan_fidelity,
                                plan_identifiers, rg)
-from macroplan.nn import grad_check
+from macroplan.nn import grad_check, lstm_step
 from macroplan.oracle import classify_inning_mention, derive_macro_plan
 from macroplan.planner import (BeamHypothesis, MacroPlan, PlannerHyper,
                                PlannerModel, build_vocab, greedy_plan,
@@ -82,6 +82,17 @@ def _doc_from_tokens(tokens: list[str]) -> SummaryDoc:
     return SummaryDoc.from_lists(paras or [["."]])
 
 
+def _lstm_cell_loss(t, x, h, c, W, b, w):
+    h, c = t.lstm_cell(x, h, c, W, b)
+    return t.add(t.sum(t.mul(h, w)), t.sum(t.mul(c, w)))
+
+
+def _lstm_sequence_loss(t, x, y, W, b, w, wv):
+    hs, c = t.lstm_sequence([t.row(x, i) for i in range(3)], t.row(y, 0),
+                            t.row(y, 1), W, b)
+    return t.add(t.sum(t.mul(t.stack_rows(hs), w)), t.sum(t.mul(c, wv)))
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -129,6 +140,9 @@ def test_ac1_gradient_fidelity(capsys):
     wv = rng.normal(size=4)
     wk = rng.normal(size=(4, 2))
     mask = np.array([[True, False, True, True]] * 3)
+    w_lstm = rng.normal(size=(8, 16)) * 0.5
+    b_lstm = rng.normal(size=16) * 0.5
+    c_lstm = rng.normal(size=(3, 4))
     primitives = [
         lambda t, x, y: t.sum(t.matmul(x, t.tensor(wk))),
         lambda t, x, y: t.sum(t.mul(t.add(x, y), t.tensor(w))),
@@ -158,6 +172,12 @@ def test_ac1_gradient_fidelity(capsys):
         lambda t, x, y: t.mean(t.mul(x, y)),
         lambda t, x, y: t.pick(t.mul(x, y), (1, 2)),
         lambda t, x, y: t.nll_pick(t.softmax(t.row(x, 0)), 2),
+        lambda t, x, y: _lstm_cell_loss(t, x, y, t.tensor(c_lstm),
+                                        t.tensor(w_lstm), t.tensor(b_lstm),
+                                        t.tensor(w)),
+        lambda t, x, y: _lstm_sequence_loss(t, x, y, t.tensor(w_lstm),
+                                            t.tensor(b_lstm), t.tensor(w),
+                                            t.tensor(wv)),
     ]
     for build in primitives:
         check(build)
@@ -218,7 +238,9 @@ def test_ac2_normalization_invariants(capsys):
         ids = [gmodel.token_id(t) for t in gplan]
         S, h, c = encode_plan(t2, gmodel, ids)
         prev = int(rng.integers(0, len(gmodel.vocab)))
-        h, c, comb, att = decode_step(t2, gmodel, S, prev, h, c)
+        h, c = lstm_step(t2, t2.gather_rows(gmodel.store.t("emb"), prev), h,
+                         c, gmodel.store.t("dec.W"), gmodel.store.t("dec.b"))
+        comb, att = decode_step(t2, gmodel, S, h)
         p_gen, p_copy = _output_dists(t2, gmodel, comb)
         pc = float(p_copy.data)
         total = (1 - pc) * float(p_gen.data.sum()) + pc * float(att.data.sum())

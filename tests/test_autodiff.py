@@ -291,6 +291,28 @@ class TestTapeMechanics:
         finally:
             gc.enable()
 
+    def test_backward_frees_lstm_sequence_without_cycle_collector(self):
+        # the sequence node's closure holds its per-step outputs and saved
+        # arrays; popping it must leave nothing for the cycle collector
+        gc.disable()
+        try:
+            tape = Tape()
+            rng = np.random.default_rng(0)
+            xs = [tape.tensor(rng.normal(size=(2, 3))) for _ in range(4)]
+            h, c = tape.zeros((2, 5)), tape.zeros((2, 5))
+            W = tape.tensor(rng.normal(size=(8, 20)))
+            hs, c_last = tape.lstm_sequence(xs, h, c, W,
+                                            tape.tensor(np.zeros(20)))
+            loss = tape.sum(tape.add(tape.stack_rows(hs), c_last))
+            outputs = [weakref.ref(t) for t in hs + [c_last, loss]]
+            del hs, c_last
+            tape.backward(loss)
+            assert W.grad is not None and xs[0].grad is not None
+            del tape, loss
+            assert all(ref() is None for ref in outputs)
+        finally:
+            gc.enable()
+
     def test_backward_frees_intermediates_during_replay(self):
         # once the nodes that read an intermediate have replayed, it and its
         # gradient are gone, before the nodes recorded ahead of it replay

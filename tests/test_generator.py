@@ -7,6 +7,7 @@ from macroplan.generator import (BOS, EOS, UNK, GeneratorHyper, GeneratorModel,
                                  _surfaces, build_gen_vocab, decode_step,
                                  encode_plan, generate, instance_loss,
                                  train_generator)
+from macroplan.nn import lstm_step
 
 TINY = GeneratorHyper(emb_dim=8, hidden=6, epochs=1, seed=0)
 
@@ -60,8 +61,11 @@ class TestOutputMixture:
         S, h0, c0 = encode_plan(tape, model, ids)
         h = h0 if h is None else tape.tensor(h)
         c = c0 if c is None else tape.tensor(c)
-        h, c, comb, alpha = decode_step(tape, model, S, model.token_id(prev),
-                                        h, c)
+        store = model.store
+        h, c = lstm_step(tape, tape.gather_rows(store.t("emb"),
+                                                model.token_id(prev)),
+                         h, c, store.t("dec.W"), store.t("dec.b"))
+        comb, alpha = decode_step(tape, model, S, h)
         p_gen, p_copy = _output_dists(tape, model, comb)
         return p_gen.data, float(p_copy.data), alpha.data, h.data, c.data
 
@@ -110,10 +114,13 @@ class TestOutputMixture:
         second = self._forward(model, "Royals", *first[3:])
 
         def no_grad_step(prevs, hs, cs):
-            h, c, comb, alpha = decode_step(
-                NO_GRAD, model, S,
-                np.array([model.token_id(t) for t in prevs]),
-                np.stack(hs), np.stack(cs))
+            store = model.store
+            h, c = lstm_step(
+                NO_GRAD, store["emb"].data[
+                    np.array([model.token_id(t) for t in prevs])],
+                np.stack(hs), np.stack(cs), store["dec.W"].data,
+                store["dec.b"].data)
+            comb, alpha = decode_step(NO_GRAD, model, S, h)
             p_gen, p_copy = _output_dists(NO_GRAD, model, comb)
             return list(zip(p_gen, p_copy, alpha, h, c))
 

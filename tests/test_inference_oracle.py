@@ -149,9 +149,12 @@ def oracle_generate(plan_tokens, model, beam_size=None, max_len=None,
     for _step in range(max_len):
         expansions = []
         for tokens, logprob, h_prev, c_prev, prev in beams:
-            h, c, comb, alpha = decode_step(
-                tape, model, S, model.token_id(prev),
-                tape.tensor(h_prev), tape.tensor(c_prev))
+            h, c = lstm_step(
+                tape, tape.gather_rows(model.store.t("emb"),
+                                       model.token_id(prev)),
+                tape.tensor(h_prev), tape.tensor(c_prev),
+                model.store.t("dec.W"), model.store.t("dec.b"))
+            comb, alpha = decode_step(tape, model, S, h)
             p_gen, p_copy = _output_dists(tape, model, comb)
             dist = _surface_dist(model, plan_tokens, p_gen.data,
                                  p_copy.data, alpha.data, dropped)

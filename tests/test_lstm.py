@@ -8,7 +8,13 @@ exactly.
 import numpy as np
 import pytest
 
+from macroplan import generator, planner
 from macroplan.autodiff import NO_GRAD, Tape
+from macroplan.generator import (BOS, EOS, GeneratorHyper, GeneratorModel,
+                                 _copy_mask, _output_dists, _surfaces,
+                                 build_gen_vocab, decode_step, encode_plan)
+from macroplan.planner import (PlannerHyper, PlannerModel, _forward_reps,
+                               _reps_with_eom, build_vocab, pointer_step)
 
 
 def oracle_lstm_step(tape, x, h, c, W, b):
@@ -84,3 +90,174 @@ def test_cell_unread_outputs_record_no_gradient():
     loss = tape.sum(x)
     tape.backward(loss)
     assert all(t.grad is None for t in (h, c, W, b))
+
+
+# ---------------------------------------------------------------------------
+# The sequence op, and the two models' losses, against per-step oracles
+
+
+def _sequence_run(batch, fused, steps=6, read_last=True):
+    """``steps`` steps from (h, c) over inputs made from one array, as one
+    sequence node or as oracle cells.  The loss reads every h but, unless
+    ``read_last``, the last one, and the last c.  Returns the h values, the
+    last c and the gradient of every input."""
+    x_all = np.random.default_rng(3).normal(
+        size=(steps,) + (() if batch is None else (batch,)) + (3,))
+    _, h0, c0, W0, b0 = _arrays(batch)
+    tape = Tape()
+    xs_all, h, c, W, b = (tape.tensor(a) for a in (x_all, h0, c0, W0, b0))
+    xs = [tape.row(xs_all, t) for t in range(steps)]
+    if fused:
+        hs, c_last = tape.lstm_sequence(xs, h, c, W, b)
+    else:
+        hs, state = [], (h, c)
+        for x in xs:
+            state = oracle_lstm_step(tape, x, *state, W, b)
+            hs.append(state[0])
+        c_last = state[1]
+    loss = tape.sum(tape.mul(c_last, tape.tensor(np.full(c0.shape, 0.7))))
+    for t, h_t in enumerate(hs[:-1] if not read_last else hs):
+        w = np.linspace(-1.0, 1.0 + t, h_t.data.size).reshape(h_t.shape)
+        loss = tape.add(loss, tape.sum(tape.mul(h_t, tape.tensor(w))))
+    tape.backward(loss)
+    return ([h_t.data for h_t in hs], c_last.data,
+            [t.grad for t in (xs_all, h, c, W, b)])
+
+
+@pytest.mark.parametrize("batch", [None, 5], ids=["1-D", "batched"])
+def test_sequence_forward_equals_cell(batch):
+    new_hs, new_c, _ = _sequence_run(batch, fused=True)
+    old_hs, old_c, _ = _sequence_run(batch, fused=False)
+    for new, old in zip(new_hs + [new_c], old_hs + [old_c]):
+        assert np.array_equal(new, old)
+    x_all = np.random.default_rng(3).normal(
+        size=(6,) + (() if batch is None else (batch,)) + (3,))
+    _, h0, c0, W0, b0 = _arrays(batch)
+    hs, c_last = NO_GRAD.lstm_sequence(list(x_all), h0, c0, W0, b0)
+    for new, old in zip(hs + [c_last], old_hs + [old_c]):
+        assert np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("batch", [None, 5], ids=["1-D", "batched"])
+@pytest.mark.parametrize("read_last", [True, False],
+                         ids=["last-h-read", "last-h-unread"])
+def test_sequence_gradients_match_oracle(batch, read_last):
+    *_, new = _sequence_run(batch, fused=True, read_last=read_last)
+    *_, old = _sequence_run(batch, fused=False, read_last=read_last)
+    for got, want in zip(new, old):
+        assert _rel_err(got, want) <= 1e-9
+
+
+def oracle_bilstm_encode(tape, seq, W_f, b_f, W_b, b_b, hidden):
+    state_shape = seq[0].shape[:-1] + (hidden,)
+
+    def run(inputs, W, b):
+        h, c = tape.zeros(state_shape), tape.zeros(state_shape)
+        states = []
+        for x in inputs:
+            h, c = oracle_lstm_step(tape, x, h, c, W, b)
+            states.append(h)
+        return states
+
+    fwd = run(seq, W_f, b_f)
+    bwd = run(list(reversed(seq)), W_b, b_b)[::-1]
+    return [tape.concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
+
+
+def oracle_planner_loss(tape, model, id_seqs, pointer_seq):
+    store = model.store
+    reps_c = _forward_reps(tape, model, id_seqs)
+    all_reps = _reps_with_eom(tape, model, reps_c)
+    k = len(id_seqs)
+    h = tape.mean(reps_c, axis=0)
+    c = tape.zeros(h.data.shape)
+    x = store.t("start")
+    loss = None
+    for target in list(pointer_seq) + [k]:
+        h, c = oracle_lstm_step(tape, x, h, c, store.t("dec.W"),
+                                store.t("dec.b"))
+        dist = pointer_step(tape, model, h, all_reps)
+        step_loss = tape.nll_pick(dist, target)
+        loss = step_loss if loss is None else tape.add(loss, step_loss)
+        if target < k:
+            x = tape.row(reps_c, target)
+    return loss
+
+
+def oracle_generator_loss(tape, model, plan_tokens, target_tokens):
+    store = model.store
+    S, h, c = encode_plan(tape, model,
+                          [model.token_id(t) for t in plan_tokens])
+    surfaces = _surfaces(plan_tokens)
+    prev = BOS
+    loss = None
+    for step, target in enumerate(list(target_tokens) + [EOS]):
+        if step > 0 and step % model.hyper.trunc == 0:
+            h, c = tape.tensor(h.data), tape.tensor(c.data)
+        x = tape.gather_rows(store.t("emb"), model.token_id(prev))
+        h, c = oracle_lstm_step(tape, x, h, c, store.t("dec.W"),
+                                store.t("dec.b"))
+        comb, alpha = decode_step(tape, model, S, h)
+        p_gen, p_copy = _output_dists(tape, model, comb)
+        gen_p = tape.pick(p_gen, model.token_id(target))
+        copy_p = tape.matmul(alpha, tape.tensor(_copy_mask(surfaces, target)))
+        keep = tape.add_const(tape.neg(p_copy), 1.0)
+        p = tape.add(tape.mul(keep, gen_p), tape.mul(p_copy, copy_p))
+        step_loss = tape.neg(tape.log(tape.add_const(p, 1e-12)))
+        loss = step_loss if loss is None else tape.add(loss, step_loss)
+        prev = target
+    return loss
+
+
+def _rel_err(new, old):
+    return float(np.max(np.abs(new - old))) / max(float(np.max(np.abs(old))),
+                                                  1e-300)
+
+
+def _planner_case():
+    """Five candidates; the plan points at candidate 3 twice."""
+    seqs = [["a", "b", "c"], ["d", "e"], ["f", "g", "h", "a"], ["b", "e"],
+            ["c"]]
+    hyper = PlannerHyper(emb_dim=5, hidden=4, seed=1)
+    model = PlannerModel.init(build_vocab(seqs), hyper,
+                              np.random.default_rng(1))
+    ids = [model.token_ids(s) for s in seqs]
+    return model, planner, lambda tape: planner.instance_loss(
+        tape, model, ids, [0, 3, 1, 3]), lambda tape: oracle_planner_loss(
+        tape, model, ids, [0, 3, 1, 3])
+
+
+def _generator_case():
+    """A target of 11 tokens plus EOS at ``trunc`` 5: two segment
+    boundaries."""
+    plan = ["<TEAM>Ra", "<TR>9", "<P>", "<PLAYER>Bo", "<RBI>1", "<INN>2"]
+    target = ["the", "Ra", "scored", "9", ".", "Bo", "had", "1", "RBI", "in",
+              "."]
+    hyper = GeneratorHyper(emb_dim=5, hidden=4, seed=2, trunc=5)
+    model = GeneratorModel.init(build_gen_vocab([(plan, target)]), hyper,
+                                np.random.default_rng(2))
+    return model, generator, lambda tape: generator.instance_loss(
+        tape, model, plan, target), lambda tape: oracle_generator_loss(
+        tape, model, plan, target)
+
+
+@pytest.mark.parametrize("case", [_planner_case, _generator_case],
+                         ids=["planner", "generator"])
+def test_instance_loss_matches_per_step_oracle(case, monkeypatch):
+    model, module, loss_fn, oracle_fn = case()
+
+    def run(fn):
+        tape = Tape()
+        model.store.bind(tape)
+        loss = fn(tape)
+        tape.backward(loss)
+        return float(loss.data), model.store.grads()
+
+    new_loss, new = run(loss_fn)
+    with monkeypatch.context() as m:
+        m.setattr(module, "bilstm_encode", oracle_bilstm_encode)
+        old_loss, old = run(oracle_fn)
+    assert abs(new_loss - old_loss) <= 1e-9 * abs(old_loss)
+    assert new.keys() == old.keys() == set(model.store.names())
+    for name in old:
+        assert _rel_err(new[name], old[name]) <= 1e-9, name
