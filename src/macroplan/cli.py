@@ -81,6 +81,9 @@ class RunConfig:
     def from_file(path) -> "RunConfig":
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValueError(f"config must be a JSON object, not "
+                             f"{json.dumps(obj)}")
         fields = RunConfig.__dataclass_fields__
         unknown = set(obj) - set(fields)
         if unknown:

@@ -41,6 +41,18 @@ class TestRunConfig:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "'games'" in err
 
+    @pytest.mark.parametrize("content", [[], ["games"], "abc", 5, None],
+                             ids=["empty-list", "list", "string", "number",
+                                  "null"])
+    def test_non_object_is_one_error_line(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(content))
+        assert main(["synth", "--config", str(path),
+                     "--out", str(tmp_path / "work")]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: invalid config: config must be a JSON "
+                       f"object, not {json.dumps(content)}\n")
+
     @pytest.mark.parametrize("content", [{"games": 4, "bogus_option": 1},
                                          None],
                              ids=["unknown-key", "missing-file"])
