@@ -321,16 +321,11 @@ class Tape:
             if dc is None and all(h_t.grad is None for h_t in hs):
                 return
             W_h = W.data[n_in:]
-            dh, dzs = None, []
+            dh, dzs = np.zeros_like(h0.data), []
             for h_t, (_, c_prev, ifo, g, tc) in zip(reversed(hs),
                                                    reversed(saved)):
-                if dh is None:
-                    dh = h_t.grad
-                elif h_t.grad is not None:
+                if h_t.grad is not None:
                     dh += h_t.grad
-                if dh is None and dc is None:   # no later output is read
-                    dzs.append(np.zeros(ifo.shape[:-1] + (4 * tc.shape[-1],)))
-                    continue
                 dz, dc = _lstm_backward(dh, dc, c_prev, ifo, g, tc)
                 dh = dz @ W_h.T
                 dzs.append(dz)

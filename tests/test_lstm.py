@@ -2,7 +2,9 @@
 
 ``oracle_lstm_step`` is the earlier ``nn.lstm_step``: fifteen tape ops per
 step.  ``Tape.lstm_cell`` must reproduce its forward and every gradient
-exactly.
+exactly.  ``Tape.lstm_sequence`` must reproduce the forward exactly; its
+one-product weight and input gradients, and the gradients of both models'
+losses, must lie within 1e-9 relative of the per-step oracle's.
 """
 
 import numpy as np
@@ -83,12 +85,16 @@ def test_no_grad_cell_equals_oracle(batch):
         assert np.array_equal(new, old)
 
 
-def test_cell_unread_outputs_record_no_gradient():
+@pytest.mark.parametrize("sequence", [False, True],
+                         ids=["lstm_cell", "lstm_sequence"])
+def test_unread_outputs_record_no_gradient(sequence):
     tape = Tape()
     x, h, c, W, b = (tape.tensor(a) for a in _arrays(None))
-    tape.lstm_cell(x, h, c, W, b)
-    loss = tape.sum(x)
-    tape.backward(loss)
+    if sequence:
+        tape.lstm_sequence([x, x], h, c, W, b)
+    else:
+        tape.lstm_cell(x, h, c, W, b)
+    tape.backward(tape.sum(x))
     assert all(t.grad is None for t in (h, c, W, b))
 
 
