@@ -43,9 +43,6 @@ def _arrays(batch, n_in=3, hidden=4, seed=0):
             rng.normal(size=4 * hidden))
 
 
-READS = ["h", "c", "both"]
-
-
 def _cell_run(step, arrays, read):
     """Two chained steps under ``step``; the loss reads the first step's h
     and the second step's outputs named by ``read``.  Returns the second
@@ -66,7 +63,7 @@ def _cell_run(step, arrays, read):
 
 
 @pytest.mark.parametrize("batch", [None, 5], ids=["1-D", "batched"])
-@pytest.mark.parametrize("read", READS)
+@pytest.mark.parametrize("read", ["h", "c", "both"])
 def test_cell_equals_oracle(batch, read):
     arrays = _arrays(batch)
     new_out, new_grads = _cell_run(
@@ -102,17 +99,21 @@ def test_unread_outputs_record_no_gradient(sequence):
 # The sequence op, and the two models' losses, against per-step oracles
 
 
-def _sequence_run(batch, fused, steps=6, read_last=True):
-    """``steps`` steps from (h, c) over inputs made from one array, as one
-    sequence node or as oracle cells.  The loss reads every h but, unless
-    ``read_last``, the last one, and the last c.  Returns the h values, the
-    last c and the gradient of every input."""
-    x_all = np.random.default_rng(3).normal(
-        size=(steps,) + (() if batch is None else (batch,)) + (3,))
-    _, h0, c0, W0, b0 = _arrays(batch)
+def _inputs(batch, steps=6):
+    """``steps`` inputs as one array, then h, c, W, b as in ``_arrays``."""
+    lead = (steps,) + (() if batch is None else (batch,))
+    return (np.random.default_rng(3).normal(size=lead + (3,)),
+            *_arrays(batch)[1:])
+
+
+def _sequence_run(batch, fused, read_last=True):
+    """The steps of ``_inputs`` as one sequence node or as oracle cells.
+    The loss reads every h but, unless ``read_last``, the last one, and the
+    last c.  Returns the h values, the last c and the gradient of every
+    input."""
     tape = Tape()
-    xs_all, h, c, W, b = (tape.tensor(a) for a in (x_all, h0, c0, W0, b0))
-    xs = [tape.row(xs_all, t) for t in range(steps)]
+    xs_all, h, c, W, b = (tape.tensor(a) for a in _inputs(batch))
+    xs = [tape.row(xs_all, t) for t in range(xs_all.shape[0])]
     if fused:
         hs, c_last = tape.lstm_sequence(xs, h, c, W, b)
     else:
@@ -121,7 +122,7 @@ def _sequence_run(batch, fused, steps=6, read_last=True):
             state = oracle_lstm_step(tape, x, *state, W, b)
             hs.append(state[0])
         c_last = state[1]
-    loss = tape.sum(tape.mul(c_last, tape.tensor(np.full(c0.shape, 0.7))))
+    loss = tape.sum(tape.mul(c_last, tape.tensor(np.full(c.shape, 0.7))))
     for t, h_t in enumerate(hs[:-1] if not read_last else hs):
         w = np.linspace(-1.0, 1.0 + t, h_t.data.size).reshape(h_t.shape)
         loss = tape.add(loss, tape.sum(tape.mul(h_t, tape.tensor(w))))
@@ -136,10 +137,8 @@ def test_sequence_forward_equals_cell(batch):
     old_hs, old_c, _ = _sequence_run(batch, fused=False)
     for new, old in zip(new_hs + [new_c], old_hs + [old_c]):
         assert np.array_equal(new, old)
-    x_all = np.random.default_rng(3).normal(
-        size=(6,) + (() if batch is None else (batch,)) + (3,))
-    _, h0, c0, W0, b0 = _arrays(batch)
-    hs, c_last = NO_GRAD.lstm_sequence(list(x_all), h0, c0, W0, b0)
+    x_all, h0, c0, W, b = _inputs(batch)
+    hs, c_last = NO_GRAD.lstm_sequence(list(x_all), h0, c0, W, b)
     for new, old in zip(hs + [c_last], old_hs + [old_c]):
         assert np.array_equal(new, old)
 
