@@ -269,42 +269,18 @@ class Tape:
         self._record(out, lambda: probs.accum_at(index, -out.grad / p))
         return out
 
-    def lstm_cell(self, x: "Tensor", h: "Tensor", c: "Tensor", W: "Tensor",
-                  b: "Tensor") -> tuple["Tensor", "Tensor"]:
-        """One fused-gate LSTM step as one node; see :func:`_lstm_forward`.
-        Returns (h, c)."""
-        xh = np.concatenate([x.data, h.data], axis=-1)
-        h_new, c_new, ifo, g, tc = _lstm_forward(xh, c.data, W.data, b.data)
-        h_out, c_out = Tensor(h_new, self), Tensor(c_new, self)
-
-        def backward():
-            if h_out.grad is None and c_out.grad is None:
-                return
-            dz, dc = _lstm_backward(h_out.grad, c_out.grad, c.data, ifo, g,
-                                    tc)
-            b.accum(_unbroadcast(dz, b.data.shape))
-            if dz.ndim == 1:
-                dxh, dW = W.data @ dz, np.outer(xh, dz)
-            else:
-                dxh, dW = dz @ W.data.T, xh.T @ dz
-            x.accum(dxh[..., :x.data.shape[-1]])
-            h.accum(dxh[..., x.data.shape[-1]:])
-            c.accum(dc)
-            W.accum(dW)
-        self.nodes.append(backward)
-        return h_out, c_out
-
     def lstm_sequence(self, xs: list["Tensor"], h0: "Tensor", c0: "Tensor",
                       W: "Tensor", b: "Tensor"
                       ) -> tuple[list["Tensor"], "Tensor"]:
-        """:meth:`lstm_cell` over the inputs ``xs``, all known before the
-        recurrence, as one node.  Returns (h of each step, last c).
+        """A fused-gate LSTM over the inputs ``xs``, all known before the
+        recurrence, as one node; see :func:`_lstm_forward`.  Returns (h of
+        each step, last c).
 
-        The forward takes each step's product as the cell does, so its
-        values are the cell's to the bit.  The backward runs the steps in
+        The forward takes one product per step, as
+        :meth:`NoGrad.lstm_sequence` does, so training's values are
+        inference's to the bit.  The backward runs the steps in
         reverse for each dz, then takes W's gradient as one product over
-        the stacked [x;h], b's as one sum and the inputs' as one product,
-        which round differently from per-step sums."""
+        the stacked [x;h], b's as one sum and the inputs' as one product."""
         n_in = xs[0].data.shape[-1]
         h, c = h0.data, c0.data
         hs, saved = [], []
@@ -398,15 +374,10 @@ class NoGrad:
         return table[np.asarray(indices, dtype=np.int64)]
 
     @staticmethod
-    def lstm_cell(x, h, c, W, b):
-        xh = np.concatenate([x, h], axis=-1)
-        return _lstm_forward(xh, c, W, b)[:2]
-
-    @staticmethod
     def lstm_sequence(xs, h0, c0, W, b):
         hs, h, c = [], h0, c0
         for x in xs:
-            h, c = NoGrad.lstm_cell(x, h, c, W, b)
+            h, c = _lstm_forward(np.concatenate([x, h], axis=-1), c, W, b)[:2]
             hs.append(h)
         return hs, c
 
@@ -431,18 +402,15 @@ def _lstm_forward(xh, c, W, b):
 
 def _lstm_backward(dh, dc, c, ifo, g, tc):
     """The gradient of one :func:`_lstm_forward` step: (dz, dc) from the
-    gradients of h' and c', either of which may be None (not read
-    downstream), and the step's saved arrays.  Each product is taken in the
-    order the unfused cell's ops took it, so the two round alike."""
+    gradient ``dh`` of h', the gradient ``dc`` of c' (None if c' is not read
+    downstream) and the step's saved arrays.  Each elementwise product is
+    taken in the order the unfused cell's ops took it."""
     hidden = c.shape[-1]
     i, f = ifo[..., :hidden], ifo[..., hidden:2 * hidden]
     dz = np.empty(ifo.shape[:-1] + (4 * hidden,))
-    if dh is None:
-        dz[..., 2 * hidden:3 * hidden] = 0.0
-    else:
-        dz[..., 2 * hidden:3 * hidden] = dh * tc
-        dc_h = dh * ifo[..., 2 * hidden:] * (1.0 - tc * tc)
-        dc = dc_h if dc is None else dc + dc_h
+    dz[..., 2 * hidden:3 * hidden] = dh * tc
+    dc_h = dh * ifo[..., 2 * hidden:] * (1.0 - tc * tc)
+    dc = dc_h if dc is None else dc + dc_h
     dz[..., :hidden] = dc * g
     dz[..., hidden:2 * hidden] = dc * c
     difo = dz[..., :3 * hidden]

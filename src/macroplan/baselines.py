@@ -40,9 +40,8 @@ def _pitcher_sentence(player) -> list[str]:
             a["K"], "strikeouts", "and", a["BB"], "walks", "."]
 
 
-def _player_sentence(game: Game, player) -> list[str]:
-    role = player.player_role(game.schema)
-    return _batter_sentence(player) if role == "batter" \
+def _player_sentence(player) -> list[str]:
+    return _batter_sentence(player) if player.player_role() == "batter" \
         else _pitcher_sentence(player)
 
 
@@ -73,9 +72,9 @@ def templ_summary(game: Game, top_batters: int = 4,
         return key
 
     batters = [p for p in game.players
-               if p.player_role(game.schema) == "batter"]
+               if p.player_role() == "batter"]
     pitchers = [p for p in game.players
-                if p.player_role(game.schema) == "pitcher"]
+                if p.player_role() == "pitcher"]
     player_tokens: list[str] = []
     for p in sorted(batters, key=sort_key(("RBI", "BH")))[:top_batters]:
         player_tokens.extend(_batter_sentence(p))
@@ -123,7 +122,7 @@ def realize_plan_template(specs: list[ParagraphPlanSpec],
             if rec.kind == "team":
                 tokens.extend(_team_sentence(rec))
             else:
-                tokens.extend(_player_sentence(game, rec))
+                tokens.extend(_player_sentence(rec))
         elif entities:
             tokens.extend(_mention_sentence(entities))
         for inning, half in spec.event_refs:

@@ -20,8 +20,8 @@ from pathlib import Path
 
 from . import bpe as bpe_mod
 from .candidates import augment_with_gold, enumerate_candidates
-from .data import (AliasTable, Game, SummaryDoc, SYNTH_SCHEMA,
-                   load_alias_table, load_games, save_games)
+from .data import (AliasTable, Game, SummaryDoc, load_alias_table,
+                   load_games, save_games)
 from .generator import (GeneratorHyper, GeneratorModel, generate,
                         train_generator)
 from .metrics import (DEFAULT_EXTRACTION_LEXICON, ExtractionLexicon,
@@ -207,7 +207,7 @@ def _require(out: Path, stage: str, names) -> None:
 
 
 def _games(out: Path) -> list[Game]:
-    return load_games(out / "games.jsonl", SYNTH_SCHEMA)
+    return load_games(out / "games.jsonl")
 
 
 def _checkpoint(prefix: str) -> tuple[str, ...]:

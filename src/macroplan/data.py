@@ -6,14 +6,13 @@ import json
 from dataclasses import dataclass
 
 __all__ = [
-    "RecordSchema",
     "EntityRecord",
     "PlayEvent",
     "SummaryDoc",
     "Game",
     "AliasTable",
     "GameValidationError",
-    "SYNTH_SCHEMA",
+    "KIND_ORDER",
     "tokenize",
     "split_sentences",
     "reconstruct_paragraphs",
@@ -28,42 +27,13 @@ class GameValidationError(ValueError):
     """Raised when a game violates a structural invariant."""
 
 
-@dataclass(frozen=True)
-class RecordSchema:
-    """Ordered record-type inventory with a fixed attribute order per entity kind.
-
-    ``kind_order`` maps "team" / "batter" / "pitcher" to the attribute types an
-    entity of that kind carries, in the exact order they are verbalized.
-    """
-
-    record_types: tuple[str, ...]
-    kind_order: dict[str, tuple[str, ...]]
-
-    def __post_init__(self):
-        if len(set(self.record_types)) != len(self.record_types):
-            raise ValueError("record types must be unique")
-        for kind, order in self.kind_order.items():
-            for t in order:
-                if t not in self.record_types:
-                    raise ValueError(f"kind {kind!r} orders unknown record type {t!r}")
-            if len(set(order)) != len(order):
-                raise ValueError(f"kind {kind!r} ordering is not total")
-
-
-#: Desk-scale schema used by the synthetic league.  Real RotoWire/MLB schemas
-#: (39 and 53 record types) plug in through the same structure.
-SYNTH_SCHEMA = RecordSchema(
-    record_types=(
-        "TR", "TH", "E",
-        "H/V", "AB", "BR", "BH", "RBI", "TEAM",
-        "W", "L", "IP", "PH", "PR", "ER", "BB", "K",
-    ),
-    kind_order={
-        "team": ("TR", "TH", "E"),
-        "batter": ("H/V", "AB", "BR", "BH", "RBI", "TEAM"),
-        "pitcher": ("H/V", "W", "L", "IP", "PH", "PR", "ER", "BB", "K", "TEAM"),
-    },
-)
+#: The attribute types an entity of each kind carries, in the exact order
+#: they are verbalized.
+KIND_ORDER = {
+    "team": ("TR", "TH", "E"),
+    "batter": ("H/V", "AB", "BR", "BH", "RBI", "TEAM"),
+    "pitcher": ("H/V", "W", "L", "IP", "PH", "PR", "ER", "BB", "K", "TEAM"),
+}
 
 
 def numeric_value(value: str):
@@ -89,21 +59,21 @@ class EntityRecord:
     def attr_map(self) -> dict[str, str]:
         return dict(self.attributes)
 
-    def player_role(self, schema: RecordSchema) -> str:
-        """Return "batter" or "pitcher" based on which schema ordering matches."""
+    def player_role(self) -> str:
+        """Return "batter" or "pitcher" based on which attribute order matches."""
         types = tuple(t for t, _ in self.attributes)
         for role in ("batter", "pitcher"):
-            if types == schema.kind_order[role]:
+            if types == KIND_ORDER[role]:
                 return role
         raise GameValidationError(
             f"player {self.name!r} attributes match no schema kind: {types}")
 
-    def validate(self, schema: RecordSchema) -> None:
+    def validate(self) -> None:
         types = tuple(t for t, _ in self.attributes)
         if self.kind == "team":
-            expected = (schema.kind_order["team"],)
+            expected = (KIND_ORDER["team"],)
         else:
-            expected = (schema.kind_order["batter"], schema.kind_order["pitcher"])
+            expected = (KIND_ORDER["batter"], KIND_ORDER["pitcher"])
         if types not in expected:
             raise GameValidationError(
                 f"entity {self.name!r}: attribute order {types} does not follow schema")
@@ -168,7 +138,6 @@ class SummaryDoc:
 class Game:
     id: str
     kind: str  # "event-rich" | "event-free"
-    schema: RecordSchema
     entities: tuple[EntityRecord, ...]
     events: tuple[PlayEvent, ...]
     summary: SummaryDoc
@@ -215,7 +184,7 @@ class Game:
         if len(set(names)) != len(names):
             raise GameValidationError(f"game {gid}: duplicate entity names")
         for e in self.entities:
-            e.validate(self.schema)
+            e.validate()
         if self.kind == "event-free" and self.events:
             raise GameValidationError(f"game {gid}: event-free game has play-by-play")
         known = set(names)
@@ -414,11 +383,10 @@ def game_to_obj(game: Game) -> dict:
     }
 
 
-def game_from_obj(obj: dict, schema: RecordSchema) -> Game:
+def game_from_obj(obj: dict) -> Game:
     game = Game(
         id=obj["id"],
         kind=obj["kind"],
-        schema=schema,
         entities=tuple([_entity_from_obj(t, "team") for t in obj["teams"]]
                        + [_entity_from_obj(p, "player") for p in obj["players"]]),
         events=tuple(_play_from_obj(p) for p in obj["plays"]),
@@ -427,7 +395,7 @@ def game_from_obj(obj: dict, schema: RecordSchema) -> Game:
     return game
 
 
-def load_games(path, schema: RecordSchema) -> list[Game]:
+def load_games(path) -> list[Game]:
     games = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -439,7 +407,7 @@ def load_games(path, schema: RecordSchema) -> list[Game]:
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed game object: {exc}") from exc
             try:
-                game = game_from_obj(obj, schema)
+                game = game_from_obj(obj)
                 game.validate()
             except (KeyError, TypeError, GameValidationError) as exc:
                 gid = obj.get("id", "?") if isinstance(obj, dict) else "?"

@@ -102,7 +102,7 @@ def _entity_kind(game: Game, name: str) -> str:
     rec = game.entity(name)
     if rec.kind == "team":
         return "team"
-    return rec.player_role(game.schema)
+    return rec.player_role()
 
 
 def extract_relations(summary: SummaryDoc, game: Game,

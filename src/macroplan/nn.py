@@ -94,29 +94,26 @@ class ParamStore:
                 if t.grad is not None}
 
 
-def _check_lstm(op: str, x, h, W) -> None:
-    hidden = h.shape[-1]
-    if W.shape != (x.shape[-1] + hidden, 4 * hidden):
-        raise ShapeError(
-            f"{op}: weight shape {W.shape} does not match "
-            f"input {x.shape} / hidden {hidden}")
-
-
 def lstm_step(tape: Tape | NoGrad, x, h, c, W, b):
-    """One step of a fused-gate LSTM; gate order i, f, o, g along the last axis.
-
-    ``x`` is (B, in) or (in,); ``h``/``c`` match with hidden width H.  Under
-    a tape the arguments are its tensors, under ``NO_GRAD`` plain arrays.
-    Returns (h, c).
-    """
-    _check_lstm("lstm_step", x, h, W)
-    return tape.lstm_cell(x, h, c, W, b)
+    """One step of a fused-gate LSTM: a one-step :func:`lstm_sequence`.
+    Returns (h, c)."""
+    hs, c = lstm_sequence(tape, [x], h, c, W, b)
+    return hs[0], c
 
 
 def lstm_sequence(tape: Tape | NoGrad, xs: list, h, c, W, b):
-    """:func:`lstm_step` over the inputs ``xs`` from state (h, c), as one
-    tape node.  Returns (h of each step, last c)."""
-    _check_lstm("lstm_sequence", xs[0], h, W)
+    """A fused-gate LSTM over the inputs ``xs`` from state (h, c), as one
+    tape node; gate order i, f, o, g along the last axis.
+
+    Each input is (B, in) or (in,); ``h``/``c`` match with hidden width H.
+    Under a tape the arguments are its tensors, under ``NO_GRAD`` plain
+    arrays.  Returns (h of each step, last c).
+    """
+    hidden = h.shape[-1]
+    if W.shape != (xs[0].shape[-1] + hidden, 4 * hidden):
+        raise ShapeError(
+            f"lstm_sequence: weight shape {W.shape} does not match "
+            f"input {xs[0].shape} / hidden {hidden}")
     return tape.lstm_sequence(xs, h, c, W, b)
 
 
@@ -251,20 +248,23 @@ def save_params(path, store: ParamStore) -> None:
 def load_params(path) -> ParamStore:
     store = ParamStore()
     with open(path, "rb") as fh:
+        def read(n: int) -> bytes:
+            data = fh.read(n)
+            if len(data) != n:
+                raise ValueError(f"{path}: truncated checkpoint")
+            return data
+
         if fh.read(4) != MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", read(4))
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            (name_len,) = struct.unpack("<I", head)
-            name = fh.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", fh.read(4))
-            dims = struct.unpack(f"<{rank}Q", fh.read(8 * rank)) if rank else ()
-            count = int(np.prod(dims)) if dims else 1
-            data = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(dims)
+        while fh.peek(1):
+            (name_len,) = struct.unpack("<I", read(4))
+            name = read(name_len).decode("utf-8")
+            (rank,) = struct.unpack("<I", read(4))
+            dims = struct.unpack(f"<{rank}Q", read(8 * rank))
+            count = int(np.prod(dims))
+            data = np.frombuffer(read(8 * count), dtype="<f8").reshape(dims)
             store._params[name] = Parameter(name, data.copy())
     return store

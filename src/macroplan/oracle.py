@@ -150,15 +150,9 @@ def _next_non_punct(tokens: list[str], idx: int) -> str | None:
     return None
 
 
-def classify_inning_mention(paragraph: list[str], prev_paragraph: list[str],
-                            ordinal_index: int,
+def classify_inning_mention(paragraph: list[str], ordinal_index: int,
                             lexicon: InningLexicon = DEFAULT_INNING_LEXICON) -> bool:
-    """True iff the ordinal at ``ordinal_index`` denotes an inning.
-
-    ``prev_paragraph`` is accepted for contract compatibility with
-    context-based scorers; the lexical heuristic does not consult it.
-    """
-    del prev_paragraph
+    """True iff the ordinal at ``ordinal_index`` denotes an inning."""
     if not (0 <= ordinal_index < len(paragraph)):
         raise IndexError(f"ordinal index {ordinal_index} out of range")
     word = paragraph[ordinal_index].lower()
@@ -197,8 +191,7 @@ def _looks_like_score(tok: str) -> bool:
     return len(parts) == 2 and all(p.isdigit() for p in parts)
 
 
-def find_inning_mentions(paragraph: list[str], prev_paragraph: list[str],
-                         game: Game,
+def find_inning_mentions(paragraph: list[str], game: Game,
                          lexicon: InningLexicon = DEFAULT_INNING_LEXICON
                          ) -> list[int]:
     """Ordinal token indices classified as inning mentions, in textual order."""
@@ -208,7 +201,7 @@ def find_inning_mentions(paragraph: list[str], prev_paragraph: list[str],
         inning = ORDINAL_WORDS.get(tok.lower())
         if inning is None or inning > max_inning:
             continue
-        if classify_inning_mention(paragraph, prev_paragraph, i, lexicon):
+        if classify_inning_mention(paragraph, i, lexicon):
             out.append(i)
     return out
 
@@ -254,15 +247,13 @@ def derive_macro_plan(game: Game, aliases: AliasTable,
     from .planner import MacroPlan
 
     specs: list[ParagraphPlanSpec] = []
-    prev_tokens: list[str] = []
     for p_idx, paragraph in enumerate(game.summary.paragraphs):
         paragraph = list(paragraph)
         mentions = match_entities(paragraph, game, aliases)
 
         event_refs: list[tuple[int, str]] = []
         if game.kind == "event-rich":
-            for idx in find_inning_mentions(paragraph, prev_tokens, game,
-                                            lexicon):
+            for idx in find_inning_mentions(paragraph, game, lexicon):
                 inning = ORDINAL_WORDS[paragraph[idx].lower()]
                 try:
                     half = resolve_half(inning, mentions, game)
@@ -278,7 +269,6 @@ def derive_macro_plan(game: Game, aliases: AliasTable,
                 covered.update(ev.participants())
         entity_refs = tuple(m.entity for m in mentions if m.entity not in covered)
 
-        prev_tokens = paragraph
         spec = _classify_spec(entity_refs, tuple(event_refs))
         if spec is None:
             log.warning("game %s: paragraph %d matches no entity or event; dropped",

@@ -3,14 +3,13 @@ play-by-play, deterministic gold macro plans, and template gold summaries."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .baselines import realize_plan_template
 from .data import (EntityRecord, Game, GameValidationError, PlayEvent,
-                   SummaryDoc, SYNTH_SCHEMA)
+                   SummaryDoc)
 from .verbalize import ParagraphPlanSpec, verbalize_plan
 
 __all__ = ["SynthConfig", "synth_league", "gold_plan_specs",
@@ -32,6 +31,9 @@ _NAME_SUFFIXES = ("ano", "berg", "dano", "ello", "ford", "gust", "hart",
 
 PLAYER_POOL = tuple(p + s for p in _NAME_PREFIXES for s in _NAME_SUFFIXES)
 
+#: a batter with at least this many RBI gets a paragraph of the gold plan
+RBI_HIGHLIGHT_THRESHOLD = 2
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -41,7 +43,6 @@ class SynthConfig:
     pitchers_per_team: int = 1
     seed: int = 7
     kind: str = "event-rich"  # or "event-free"
-    rbi_highlight_threshold: int = 2
     merge_probability: float = 0.25
 
     def __post_init__(self):
@@ -51,11 +52,6 @@ class SynthConfig:
             raise ValueError("innings must be in [1, 20]")
         if self.games < 1:
             raise ValueError("need at least one game")
-
-    @staticmethod
-    def from_file(path) -> "SynthConfig":
-        with open(path, encoding="utf-8") as fh:
-            return SynthConfig(**json.load(fh))
 
 
 def synth_league(cfg: SynthConfig) -> list[tuple[Game, list[ParagraphPlanSpec]]]:
@@ -101,8 +97,8 @@ def _one_game(cfg: SynthConfig, rng: np.random.Generator, gid: str) -> Game:
     entities = _build_entities(cfg, rng, v_name, h_name, v_batters, v_pitchers,
                                h_batters, h_pitchers, totals, batting)
     events = _fill_pitchers(events, v_pitchers[0], h_pitchers[0])
-    return Game(id=gid, kind="event-rich", schema=SYNTH_SCHEMA,
-                entities=tuple(entities), events=tuple(events),
+    return Game(id=gid, kind="event-rich", entities=tuple(entities),
+                events=tuple(events),
                 summary=SummaryDoc.from_lists([["placeholder", "."]]))
 
 
@@ -211,8 +207,8 @@ def _event_free_game(cfg, rng, gid, v_name, h_name, v_batters, v_pitchers,
                       "RBI": int(rng.integers(0, 4))}
     entities = _build_entities(cfg, rng, v_name, h_name, v_batters, v_pitchers,
                                h_batters, h_pitchers, totals, batting)
-    return Game(id=gid, kind="event-free", schema=SYNTH_SCHEMA,
-                entities=tuple(entities), events=(),
+    return Game(id=gid, kind="event-free", entities=tuple(entities),
+                events=(),
                 summary=SummaryDoc.from_lists([["placeholder", "."]]))
 
 
@@ -237,8 +233,8 @@ def gold_plan_specs(game: Game, cfg: SynthConfig,
     for side in ("visiting", "home"):
         side_batters = [p for p in game.players
                         if p.side == side
-                        and p.player_role(game.schema) == "batter"
-                        and rbi(p) >= cfg.rbi_highlight_threshold]
+                        and p.player_role() == "batter"
+                        and rbi(p) >= RBI_HIGHLIGHT_THRESHOLD]
         for p in sorted(side_batters, key=lambda p: (-rbi(p), p.name)):
             specs.append(ParagraphPlanSpec("entity-singleton", (p.name,)))
 
@@ -278,7 +274,7 @@ def check_consistency(game: Game) -> None:
     hits = dict(runs)
     batter_stats = {p.name: {"BH": 0, "BR": 0, "RBI": 0}
                     for p in game.players
-                    if p.player_role(game.schema) == "batter"}
+                    if p.player_role() == "batter"}
     for ev in game.events:
         gained = ev.scores[0] - _runs_before(game, ev)
         runs[ev.batting_team] += gained
@@ -301,7 +297,7 @@ def check_consistency(game: Game) -> None:
             raise GameValidationError(
                 f"{game.id}: {t.name} TH {t.attr_map['TH']} != plays {hits[t.name]}")
     for p in game.players:
-        if p.player_role(game.schema) != "batter":
+        if p.player_role() != "batter":
             continue
         st = batter_stats[p.name]
         a = p.attr_map

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from macroplan.data import (AliasTable, EntityRecord, Game, PlayEvent,
-                            SummaryDoc, SYNTH_SCHEMA)
+                            SummaryDoc)
 
 
 def _team(name, side, tr, th, e):
@@ -57,8 +57,8 @@ def demo_game() -> Game:
         ["Keller", "pitched", "4", "innings", "and", "recorded", "6",
          "strikeouts", "and", "1", "walks", "."],
     ])
-    game = Game(id="demo-1", kind="event-rich", schema=SYNTH_SCHEMA,
-                entities=entities, events=events, summary=summary)
+    game = Game(id="demo-1", kind="event-rich", entities=entities,
+                events=events, summary=summary)
     game.validate()
     return game
 

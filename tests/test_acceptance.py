@@ -83,7 +83,7 @@ def _doc_from_tokens(tokens: list[str]) -> SummaryDoc:
 
 
 def _lstm_cell_loss(t, x, h, c, W, b, w):
-    h, c = t.lstm_cell(x, h, c, W, b)
+    h, c = lstm_step(t, x, h, c, W, b)
     return t.add(t.sum(t.mul(h, w)), t.sum(t.mul(c, w)))
 
 
@@ -419,7 +419,7 @@ def test_ac8_inning_disambiguation(capsys):
                             3, False))
     tp = fp = fn = 0
     for sentence, idx, is_inning in labeled:
-        pred = classify_inning_mention(sentence, [], idx)
+        pred = classify_inning_mention(sentence, idx)
         if pred and is_inning:
             tp += 1
         elif pred and not is_inning:

@@ -145,6 +145,20 @@ class TestStageOrdering:
         assert "'derive-plans'" in err
         assert not (tmp_path / "report.json").exists()
 
+    def test_truncated_checkpoint_is_one_error_line(self, tmp_path, capsys):
+        for name in ("synth", "derive-plans", "enumerate", "train-planner"):
+            assert run(name, SMALL, tmp_path) == 0, name
+        path = tmp_path / "planner.mpln"
+        raw = path.read_bytes()
+        # inside the version, the first name, the first data and a later record
+        for cut in (6, 30, 200, 1000):
+            assert cut < len(raw)
+            path.write_bytes(raw[:cut])
+            capsys.readouterr()
+            assert run("plan", SMALL, tmp_path) == 1, cut
+            assert capsys.readouterr().err == \
+                f"error: {path}: truncated checkpoint\n", cut
+
     def test_needs_are_made_by_an_earlier_stage(self):
         made = set()
         for name, stage in STAGES.items():

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from macroplan.data import (AliasTable, Game, GameValidationError, SummaryDoc,
-                            SYNTH_SCHEMA, load_games, numeric_value,
+                            load_games, numeric_value,
                             reconstruct_paragraphs, save_games,
                             split_sentences, tokenize, game_to_obj,
                             game_from_obj)
@@ -88,18 +88,18 @@ class TestSerialization:
     def test_round_trip(self, demo_game, tmp_path):
         path = tmp_path / "games.jsonl"
         save_games(path, [demo_game])
-        loaded = load_games(path, SYNTH_SCHEMA)
+        loaded = load_games(path)
         assert len(loaded) == 1
         assert loaded[0] == demo_game
 
     def test_obj_round_trip(self, demo_game):
-        assert game_from_obj(game_to_obj(demo_game), SYNTH_SCHEMA) == demo_game
+        assert game_from_obj(game_to_obj(demo_game)) == demo_game
 
     def test_malformed_json_reports_lineno(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('not json\n')
         with pytest.raises(ValueError, match="bad.jsonl:1"):
-            load_games(path, SYNTH_SCHEMA)
+            load_games(path)
 
     def test_incomplete_game_reports_lineno_and_id(self, tmp_path, demo_game):
         import json
@@ -108,7 +108,7 @@ class TestSerialization:
         del obj["kind"]
         path.write_text(json.dumps(obj) + "\n")
         with pytest.raises(ValueError, match="bad.jsonl:1.*demo-1"):
-            load_games(path, SYNTH_SCHEMA)
+            load_games(path)
 
 
 class TestHalves:

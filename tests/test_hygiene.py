@@ -1,8 +1,9 @@
 """Source hygiene checks that need no linter: every import in the package and
 the scripts is used, and so is every private top-level function and class.
 Every public top-level function and class of the package is referenced by
-the package, the scripts or the tests, and every optional parameter of the
-package is set by some call."""
+the package, the scripts or the tests, every optional parameter of the
+package is set by some call, and every parameter is read by its function's
+body unless the function is passed around as a value."""
 
 import ast
 from collections import defaultdict
@@ -160,3 +161,50 @@ def test_no_unset_optional_parameters(path):
              if not {EVERY, param, pos} & set_by[callee]]
     assert not unset, f"{path.relative_to(ROOT)}: optional parameters no " \
         "call sets: " + ", ".join(unset)
+
+
+def _value_references(tree):
+    """Names a file reads other than as the function of a call: a function
+    referenced this way is called through a table or a callback, whose
+    signature it must keep."""
+    called = {id(node.func) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)}
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in called:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def _unread_parameters(tree, exempt):
+    """(function, parameter) of every parameter, ``self`` and ``cls`` aside,
+    that its function's body never reads, for the functions outside
+    ``exempt``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                or node.name in exempt:
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args
+                  + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for param in params:
+            if param not in read and param not in ("self", "cls"):
+                yield node.name, param
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    exempt = set().union(*(_value_references(ast.parse(p.read_text()))
+                           for p in CALLERS))
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = [f"{fn}({param})" for fn, param in _unread_parameters(tree,
+                                                                    exempt)]
+    assert not unread, f"{path.relative_to(ROOT)}: parameters no body " \
+        "reads: " + ", ".join(unread)

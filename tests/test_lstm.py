@@ -1,16 +1,16 @@
-"""The fused LSTM ops against the unfused cell they replaced.
+"""The fused LSTM op against the unfused cell it replaced.
 
 ``oracle_lstm_step`` is the earlier ``nn.lstm_step``: fifteen tape ops per
-step.  ``Tape.lstm_cell`` must reproduce its forward and every gradient
-exactly.  ``Tape.lstm_sequence`` must reproduce the forward exactly; its
-one-product weight and input gradients, and the gradients of both models'
-losses, must lie within 1e-9 relative of the per-step oracle's.
+step.  ``lstm_sequence``, on the tape and under ``NO_GRAD``, and
+``nn.lstm_step``, a one-step sequence, must reproduce its forward exactly.
+The sequence's gradients, over one step and over six, and the gradients of
+both models' losses must lie within 1e-9 relative of the per-step oracle's.
 """
 
 import numpy as np
 import pytest
 
-from macroplan import generator, planner
+from macroplan import generator, nn, planner
 from macroplan.autodiff import NO_GRAD, Tape
 from macroplan.generator import (BOS, EOS, GeneratorHyper, GeneratorModel,
                                  _copy_mask, _output_dists, _surfaces,
@@ -43,41 +43,10 @@ def _arrays(batch, n_in=3, hidden=4, seed=0):
             rng.normal(size=4 * hidden))
 
 
-def _cell_run(step, arrays, read):
-    """Two chained steps under ``step``; the loss reads the first step's h
-    and the second step's outputs named by ``read``.  Returns the second
-    step's (h, c) values and the gradient of every input."""
-    tape = Tape()
-    x, h, c, W, b = (tape.tensor(a) for a in arrays)
-    w_h = tape.tensor(np.linspace(-1.0, 1.5, h.data.size).reshape(h.shape))
-    w_c = tape.tensor(np.linspace(2.0, -0.5, c.data.size).reshape(c.shape))
-    h1, c1 = step(tape, x, h, c, W, b)
-    h2, c2 = step(tape, x, h1, c1, W, b)
-    loss = tape.sum(tape.mul(h1, w_c))
-    if read in ("h", "both"):
-        loss = tape.add(loss, tape.sum(tape.mul(h2, w_h)))
-    if read in ("c", "both"):
-        loss = tape.add(loss, tape.sum(tape.mul(c2, w_c)))
-    tape.backward(loss)
-    return (h2.data, c2.data), [t.grad for t in (x, h, c, W, b)]
-
-
-@pytest.mark.parametrize("batch", [None, 5], ids=["1-D", "batched"])
-@pytest.mark.parametrize("read", ["h", "c", "both"])
-def test_cell_equals_oracle(batch, read):
-    arrays = _arrays(batch)
-    new_out, new_grads = _cell_run(
-        lambda t, *a: t.lstm_cell(*a), arrays, read)
-    old_out, old_grads = _cell_run(oracle_lstm_step, arrays, read)
-    for new, old in zip(new_out + tuple(new_grads),
-                        old_out + tuple(old_grads)):
-        assert np.array_equal(new, old)
-
-
 @pytest.mark.parametrize("batch", [None, 5], ids=["1-D", "batched"])
 def test_no_grad_cell_equals_oracle(batch):
     x, h, c, W, b = _arrays(batch)
-    for new, old in zip(NO_GRAD.lstm_cell(x, h, c, W, b),
+    for new, old in zip(nn.lstm_step(NO_GRAD, x, h, c, W, b),
                         oracle_lstm_step(NO_GRAD, x, h, c, W, b)):
         assert np.array_equal(new, old)
 
@@ -90,7 +59,7 @@ def test_unread_outputs_record_no_gradient(sequence):
     if sequence:
         tape.lstm_sequence([x, x], h, c, W, b)
     else:
-        tape.lstm_cell(x, h, c, W, b)
+        nn.lstm_step(tape, x, h, c, W, b)
     tape.backward(tape.sum(x))
     assert all(t.grad is None for t in (h, c, W, b))
 
@@ -99,20 +68,26 @@ def test_unread_outputs_record_no_gradient(sequence):
 # The sequence op, and the two models' losses, against per-step oracles
 
 
-def _inputs(batch, steps=6):
+#: (batch, steps) of the sequence tests: 1-D or batched, six steps or one
+SEQUENCES = pytest.mark.parametrize(
+    "batch, steps", [(None, 6), (5, 6), (None, 1), (5, 1)],
+    ids=["1-D", "batched", "1-D-1-step", "batched-1-step"])
+
+
+def _inputs(batch, steps):
     """``steps`` inputs as one array, then h, c, W, b as in ``_arrays``."""
     lead = (steps,) + (() if batch is None else (batch,))
     return (np.random.default_rng(3).normal(size=lead + (3,)),
             *_arrays(batch)[1:])
 
 
-def _sequence_run(batch, fused, read_last=True):
+def _sequence_run(batch, steps, fused, read_last=True):
     """The steps of ``_inputs`` as one sequence node or as oracle cells.
     The loss reads every h but, unless ``read_last``, the last one, and the
     last c.  Returns the h values, the last c and the gradient of every
     input."""
     tape = Tape()
-    xs_all, h, c, W, b = (tape.tensor(a) for a in _inputs(batch))
+    xs_all, h, c, W, b = (tape.tensor(a) for a in _inputs(batch, steps))
     xs = [tape.row(xs_all, t) for t in range(xs_all.shape[0])]
     if fused:
         hs, c_last = tape.lstm_sequence(xs, h, c, W, b)
@@ -131,24 +106,24 @@ def _sequence_run(batch, fused, read_last=True):
             [t.grad for t in (xs_all, h, c, W, b)])
 
 
-@pytest.mark.parametrize("batch", [None, 5], ids=["1-D", "batched"])
-def test_sequence_forward_equals_cell(batch):
-    new_hs, new_c, _ = _sequence_run(batch, fused=True)
-    old_hs, old_c, _ = _sequence_run(batch, fused=False)
+@SEQUENCES
+def test_sequence_forward_equals_cell(batch, steps):
+    new_hs, new_c, _ = _sequence_run(batch, steps, fused=True)
+    old_hs, old_c, _ = _sequence_run(batch, steps, fused=False)
     for new, old in zip(new_hs + [new_c], old_hs + [old_c]):
         assert np.array_equal(new, old)
-    x_all, h0, c0, W, b = _inputs(batch)
+    x_all, h0, c0, W, b = _inputs(batch, steps)
     hs, c_last = NO_GRAD.lstm_sequence(list(x_all), h0, c0, W, b)
     for new, old in zip(hs + [c_last], old_hs + [old_c]):
         assert np.array_equal(new, old)
 
 
-@pytest.mark.parametrize("batch", [None, 5], ids=["1-D", "batched"])
+@SEQUENCES
 @pytest.mark.parametrize("read_last", [True, False],
                          ids=["last-h-read", "last-h-unread"])
-def test_sequence_gradients_match_oracle(batch, read_last):
-    *_, new = _sequence_run(batch, fused=True, read_last=read_last)
-    *_, old = _sequence_run(batch, fused=False, read_last=read_last)
+def test_sequence_gradients_match_oracle(batch, steps, read_last):
+    *_, new = _sequence_run(batch, steps, fused=True, read_last=read_last)
+    *_, old = _sequence_run(batch, steps, fused=False, read_last=read_last)
     for got, want in zip(new, old):
         assert _rel_err(got, want) <= 1e-9
 

@@ -202,6 +202,21 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="not a checkpoint"):
             load_params(path)
 
+    @pytest.mark.parametrize("cut", [6, 10, 14, 19, 25, 50],
+                             ids=["version", "name-length", "name", "rank",
+                                  "dims", "data"])
+    def test_truncation_rejected(self, tmp_path, rng, cut):
+        # magic 0-4, version 4-8, then one record: name length 8-12, the
+        # name "enc.W" 12-17, rank 17-21, two dims 21-37, six values 37-85
+        path = tmp_path / "t.mpln"
+        save_params(path, _store_with(rng, **{"enc.W": (2, 3)}))
+        raw = path.read_bytes()
+        assert len(raw) == 85
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError) as exc:
+            load_params(path)
+        assert str(exc.value) == f"{path}: truncated checkpoint"
+
     def test_bad_version_rejected(self, tmp_path, rng):
         store = _store_with(rng, a=(2,))
         path = tmp_path / "v.mpln"

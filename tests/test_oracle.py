@@ -49,46 +49,46 @@ class TestMatchEntities:
 class TestInningClassification:
     def test_ordinal_before_inning_word(self):
         p = ["He", "homered", "in", "the", "fourth", "inning", "."]
-        assert classify_inning_mention(p, [], 4)
+        assert classify_inning_mention(p, 4)
 
     def test_non_inning_noun_right_context(self):
         p = ["the", "first", "batter", "struck", "out", "."]
-        assert not classify_inning_mention(p, [], 1)
+        assert not classify_inning_mention(p, 1)
 
     def test_in_the_ordinal_without_noun(self):
         p = ["He", "homered", "in", "the", "fourth", "."]
-        assert classify_inning_mention(p, [], 4)
+        assert classify_inning_mention(p, 4)
 
     def test_cue_verb_in_window(self):
         p = ["Mullins", "doubled", "twice", "in", "the", "fourth", "."]
-        assert classify_inning_mention(p, [], 5)
+        assert classify_inning_mention(p, 5)
 
     def test_tied_score_pattern(self):
         p = ["the", "fifth", "left", "it", "tied", "4-4", "."]
-        assert classify_inning_mention(p, [], 1)
+        assert classify_inning_mention(p, 1)
 
     def test_bare_ordinal_without_cues(self):
         p = ["their", "first", "appearance", "together", "."]
-        assert not classify_inning_mention(p, [], 1)
+        assert not classify_inning_mention(p, 1)
 
     def test_non_ordinal_rejected(self):
         with pytest.raises(ValueError):
-            classify_inning_mention(["hello"], [], 0)
+            classify_inning_mention(["hello"], 0)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(IndexError):
-            classify_inning_mention(["first"], [], 3)
+            classify_inning_mention(["first"], 3)
 
 
 class TestFindInningMentions:
     def test_skips_ordinals_beyond_max_inning(self, demo_game):
         p = ["in", "the", "ninth", "inning", "."]  # demo game has 4 innings
-        assert find_inning_mentions(p, [], demo_game) == []
+        assert find_inning_mentions(p, demo_game) == []
 
     def test_finds_textual_order(self, demo_game):
         p = ["in", "the", "fourth", "inning", "and", "in", "the", "first",
              "inning", "."]
-        assert find_inning_mentions(p, [], demo_game) == [2, 7]
+        assert find_inning_mentions(p, demo_game) == [2, 7]
 
 
 class TestResolveHalf:

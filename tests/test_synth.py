@@ -26,12 +26,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             SynthConfig(games=0)
 
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "synth.json"
-        path.write_text('{"games": 3, "seed": 9, "kind": "event-free"}')
-        cfg = SynthConfig.from_file(path)
-        assert cfg.games == 3 and cfg.kind == "event-free"
-
 
 class TestLeague:
     def test_count_and_unique_ids(self, league):
