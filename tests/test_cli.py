@@ -150,7 +150,7 @@ class TestStageOrdering:
             assert run(name, SMALL, tmp_path) == 0, name
         path = tmp_path / "planner.mpln"
         raw = path.read_bytes()
-        # inside the version, the first name, the first data and a later record
+        # inside the version, the first record's dims and twice in its data
         for cut in (6, 30, 200, 1000):
             assert cut < len(raw)
             path.write_bytes(raw[:cut])
