@@ -1,15 +1,14 @@
 """Non-neural reference systems: a template summarizer whose every extracted
-relation is table-supported, a deterministic plan realizer whose output can be
-reverse-engineered back into the same plan, and the plan-free encoder input
-used by sequence-to-sequence comparisons."""
+relation is table-supported, and a deterministic plan realizer whose output
+can be reverse-engineered back into the same plan."""
 
 from __future__ import annotations
 
 from .data import Game, SummaryDoc
 from .oracle import ORDINAL_WORDS
-from .verbalize import ParagraphPlanSpec, verbalize_entity, verbalize_event_group
+from .verbalize import ParagraphPlanSpec
 
-__all__ = ["templ_summary", "realize_plan_template", "build_noplan_input"]
+__all__ = ["templ_summary", "realize_plan_template"]
 
 _ORDINAL_BY_NUMBER = {v: k for k, v in ORDINAL_WORDS.items()}
 
@@ -134,29 +133,3 @@ def realize_plan_template(specs: list[ParagraphPlanSpec],
         raise ValueError("cannot realize an empty plan")
     return SummaryDoc.from_lists(paragraphs)
 
-
-# ---------------------------------------------------------------------------
-# Plan-free encoder input
-
-
-def build_noplan_input(game: Game, players_per_side: int = 4) -> list[str]:
-    """Fixed-order verbalization used when no macro plan is available: home
-    team, visiting team, top home players, top visiting players, and (for
-    event-rich games) every half-inning with scoring plays."""
-    tokens: list[str] = []
-    tokens.extend(verbalize_entity(game.home_team))
-    tokens.extend(verbalize_entity(game.visiting_team))
-    for side in ("home", "visiting"):
-        side_players = [p for p in game.players if p.side == side]
-        for p in side_players[:players_per_side]:
-            tokens.extend(verbalize_entity(p))
-    if game.kind == "event-rich":
-        scoring = [hk for hk in game.halves()
-                   if any(_is_scoring(ev) for ev in game.plays_in_half(*hk))]
-        if scoring:
-            tokens.extend(verbalize_event_group(scoring, game))
-    return tokens
-
-
-def _is_scoring(ev) -> bool:
-    return ev.scorer is not None or "scor" in ev.action or "homer" in ev.action

@@ -20,21 +20,12 @@ CONTINUE = "@@"
 class BpeModel:
     merges: tuple[tuple[str, str], ...]
     protected_tokens: frozenset
-    base_symbols: frozenset = frozenset()
 
     def is_protected(self, token: str) -> bool:
         """Protected tokens and marker-fused value tokens (``<TR>9``) pass
         through whole, the latter even when the concrete value never
         occurred in training."""
         return token in self.protected_tokens or is_marker_token(token)
-
-    def vocabulary(self) -> set[str]:
-        """Symbol inventory: base characters plus one symbol per merge plus
-        protected tokens (monotone in the number of merges)."""
-        vocab = set(self.base_symbols) | set(self.protected_tokens)
-        for a, b in self.merges:
-            vocab.add(a + b)
-        return vocab
 
 
 def _word_symbols(token: str) -> tuple[str, ...]:
@@ -57,10 +48,9 @@ def learn_bpe(corpus: list[list[str]], num_merges: int,
                 continue
             counts[_word_symbols(tok)] += 1
 
-    base = frozenset(sym for word in counts for sym in word)
     if not counts and num_merges > 0:
         log.warning("BPE corpus is empty or fully protected; learned 0 merges")
-        return BpeModel((), protected, base)
+        return BpeModel((), protected)
 
     vocab = dict(counts)
     merges: list[tuple[str, str]] = []
@@ -74,7 +64,7 @@ def learn_bpe(corpus: list[list[str]], num_merges: int,
         best = min(pair_counts, key=lambda p: (-pair_counts[p], p))
         merges.append(best)
         vocab = {_merge_word(word, best): freq for word, freq in vocab.items()}
-    return BpeModel(tuple(merges), protected, base)
+    return BpeModel(tuple(merges), protected)
 
 
 def _merge_word(word: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, ...]:
@@ -135,7 +125,6 @@ def save_bpe(path, model: BpeModel) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("#version: macroplan-bpe 1\n")
         fh.write("#protected: " + " ".join(sorted(model.protected_tokens)) + "\n")
-        fh.write("#base: " + " ".join(sorted(model.base_symbols)) + "\n")
         for a, b in model.merges:
             fh.write(f"{a} {b}\n")
 
@@ -143,17 +132,14 @@ def save_bpe(path, model: BpeModel) -> None:
 def load_bpe(path) -> BpeModel:
     merges = []
     protected: frozenset = frozenset()
-    base: frozenset = frozenset()
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.rstrip("\n")
             if line.startswith("#protected:"):
                 protected = frozenset(line.split()[1:])
-            elif line.startswith("#base:"):
-                base = frozenset(line.split()[1:])
             elif line.startswith("#") or not line:
                 continue
             else:
                 a, b = line.split(" ")
                 merges.append((a, b))
-    return BpeModel(tuple(merges), protected, base)
+    return BpeModel(tuple(merges), protected)

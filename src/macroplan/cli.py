@@ -18,6 +18,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import bpe as bpe_mod
 from .candidates import augment_with_gold, enumerate_candidates
 from .data import (AliasTable, Game, SummaryDoc, load_alias_table,
@@ -162,8 +164,22 @@ def _spec_from_refs(entity_refs, event_refs, game: Game) -> ParagraphPlanSpec:
     return verbalize_plan(spec, game)
 
 
+def _game(path, by_id: dict[str, Game], game_id) -> Game:
+    """The game a line of ``path`` names; it must be one of ``by_id``."""
+    if game_id not in by_id:
+        raise ValueError(f"{path}: line for unknown game {game_id!r}")
+    return by_id[game_id]
+
+
+def _check_every_game(path, games: list[Game], found) -> None:
+    for game in games:
+        if game.id not in found:
+            raise ValueError(f"{path}: no line for game {game.id!r}")
+
+
 def read_plan_file(path, games: list[Game]):
-    """game id -> list of verbalized ParagraphPlanSpec, in plan order."""
+    """game id -> list of verbalized ParagraphPlanSpec, in plan order, for
+    exactly the games of ``games``."""
     by_id = {g.id: g for g in games}
     plans: dict[str, list[ParagraphPlanSpec]] = {}
     with open(path, encoding="utf-8") as fh:
@@ -171,10 +187,29 @@ def read_plan_file(path, games: list[Game]):
             if not line.strip():
                 continue
             game_id, paragraphs, _ = parse_plan_line(line)
-            game = by_id[game_id]
+            game = _game(path, by_id, game_id)
             plans[game_id] = [_spec_from_refs(e, v, game)
                               for e, v in paragraphs]
+    _check_every_game(path, games, plans)
     return plans
+
+
+def _read_summaries(path, games: list[Game]) -> dict[str, SummaryDoc]:
+    """game id -> generated summary, for exactly the games of ``games``."""
+    by_id = {g.id: g for g in games}
+    docs: dict[str, SummaryDoc] = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}: line {lineno} is not an object")
+            game_id = _game(path, by_id, obj.get("id")).id
+            if "paragraphs" not in obj:
+                raise ValueError(f"{path}: no paragraphs for game "
+                                 f"{game_id!r}")
+            docs[game_id] = SummaryDoc.from_lists(obj["paragraphs"])
+    _check_every_game(path, games, docs)
+    return docs
 
 
 # ---------------------------------------------------------------------------
@@ -224,17 +259,30 @@ def _save_model(out: Path, prefix: str, model, trace: list[float]) -> None:
 
 
 def _load_model(out: Path, prefix: str, model_cls, hyper):
-    """The model from the files :func:`_save_model` wrote."""
+    """The model from the files :func:`_save_model` wrote, whose parameters
+    must have the names and shapes the config and vocabulary make."""
     params, vocab = (out / name for name in _checkpoint(prefix))
     store = load_params(params)
     ids = {k: int(v) for k, v in json.loads(vocab.read_text()).items()}
+    shapes = {name: p.data.shape for name, p in store.items()}
+    for name, p in model_cls.init(ids, hyper,
+                                  np.random.default_rng(0)).store.items():
+        shape = shapes.pop(name, None)
+        if shape is None:
+            raise ValueError(f"{params}: no parameter {name!r}")
+        if shape != p.data.shape:
+            raise ValueError(f"{params}: parameter {name!r} has shape "
+                             f"{shape}, the config makes {p.data.shape}")
+    if shapes:
+        extra = next(iter(shapes))
+        raise ValueError(f"{params}: unexpected parameter {extra!r}")
     return model_cls(store, ids, hyper)
 
 
 def _planner_hyper(cfg: RunConfig) -> PlannerHyper:
     return PlannerHyper(emb_dim=cfg.planner_emb, hidden=cfg.planner_hidden,
                         lr=cfg.planner_lr, epochs=cfg.planner_epochs,
-                        seed=cfg.seed, beam_size=cfg.beam)
+                        seed=cfg.seed)
 
 
 def _generator_hyper(cfg: RunConfig) -> GeneratorHyper:
@@ -242,7 +290,7 @@ def _generator_hyper(cfg: RunConfig) -> GeneratorHyper:
                           hidden=cfg.generator_hidden,
                           lr=cfg.generator_lr, epochs=cfg.generator_epochs,
                           seed=cfg.seed + 1, trunc=cfg.generator_trunc,
-                          max_len=cfg.generator_max_len, beam_size=cfg.beam)
+                          max_len=cfg.generator_max_len)
 
 
 # ---------------------------------------------------------------------------
@@ -404,33 +452,26 @@ def stage_generate(cfg: RunConfig, out: Path) -> None:
 
 def stage_evaluate(cfg: RunConfig, out: Path) -> None:
     games = _games(out)
-    by_id = {g.id: g for g in games}
-    docs: dict[str, SummaryDoc] = {}
-    with open(out / "summaries.jsonl", encoding="utf-8") as fh:
-        for line in fh:
-            obj = json.loads(line)
-            docs[obj["id"]] = SummaryDoc.from_lists(obj["paragraphs"])
+    docs = _read_summaries(out / "summaries.jsonl", games)
     plans = read_plan_file(out / "plans_pred.txt", games)
     gold_plans = read_plan_file(out / "plans_gold.txt", games)
 
-    ids = [g.id for g in games if g.id in docs]
     aliases = cfg.aliases()
     lexicon = cfg.extraction_lexicon()
     inning_lex = cfg.inning_lexicon()
 
-    fid = [plan_fidelity(docs[i], plans[i], by_id[i], aliases,
-                         lexicon=inning_lex) for i in ids]
+    fid = [plan_fidelity(docs[g.id], plans[g.id], g, aliases,
+                         lexicon=inning_lex) for g in games]
     fid_cs = sum(f for f, _ in fid) / len(fid) if fid else 100.0
     fid_co = sum(c for _, c in fid) / len(fid) if fid else 100.0
 
-    report = evaluate_summaries([docs[i] for i in ids],
-                                [by_id[i] for i in ids],
+    report = evaluate_summaries([docs[g.id] for g in games], games,
                                 lexicon=lexicon, aliases=aliases,
                                 plan_scores=(fid_cs, fid_co))
     payload = json.loads(report.to_json())
     p, r, f, co_val = intrinsic_plan_eval(
-        [plan_identifiers(plans[i]) for i in ids],
-        [plan_identifiers(gold_plans[i]) for i in ids])
+        [plan_identifiers(plans[g.id]) for g in games],
+        [plan_identifiers(gold_plans[g.id]) for g in games])
     payload["intrinsic_plan"] = {"cs_precision": p, "cs_recall": r,
                                  "cs_f": f, "co": co_val}
     (out / "report.json").write_text(

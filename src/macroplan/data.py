@@ -15,7 +15,6 @@ __all__ = [
     "KIND_ORDER",
     "tokenize",
     "split_sentences",
-    "reconstruct_paragraphs",
     "load_games",
     "save_games",
     "load_alias_table",
@@ -302,34 +301,6 @@ def split_sentences(tokens: list[str]) -> list[list[str]]:
     if current:
         sentences.append(current)
     return sentences
-
-
-def reconstruct_paragraphs(sentences: list[list[str]], game: Game,
-                           aliases: AliasTable) -> SummaryDoc:
-    """Rebuild paragraph segmentation from sentences by superset merging.
-
-    Each sentence starts as its own paragraph; an adjacent paragraph is merged
-    into its predecessor whenever the predecessor's entity set is a superset of
-    its own, repeated to fixpoint.
-    """
-    from .oracle import match_entities  # deferred: oracle imports this module
-
-    if not sentences:
-        raise ValueError("no sentences to reconstruct")
-    paras = [list(s) for s in sentences]
-    ents = [frozenset(m.entity for m in match_entities(p, game, aliases)) for p in paras]
-    changed = True
-    while changed:
-        changed = False
-        j = 1
-        while j < len(paras):
-            if ents[j - 1] >= ents[j]:
-                paras[j - 1].extend(paras[j])
-                del paras[j], ents[j]
-                changed = True
-            else:
-                j += 1
-    return SummaryDoc.from_lists(paras)
 
 
 # ---------------------------------------------------------------------------

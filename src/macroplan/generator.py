@@ -39,11 +39,9 @@ class GeneratorHyper:
     lr: float = 0.02
     epochs: int = 6
     seed: int = 29
-    grad_clip: float = 5.0
     stop_tol: float | None = None  # stop early once epoch NLL drops below
     trunc: int = 100           # BPTT truncation window (decoder steps)
     max_len: int = 400
-    beam_size: int = 5
 
     @property
     def rep_dim(self) -> int:
@@ -274,15 +272,13 @@ class _Hyp:
         return self.logprob / max(len(self.tokens), 1)
 
 
-def generate(plan_tokens: list[str], model: GeneratorModel,
-             beam_size: int | None = None,
+def generate(plan_tokens: list[str], model: GeneratorModel, beam_size: int,
              max_len: int | None = None) -> list[str]:
     """Beam-search decode a token sequence (EOS excluded) for the plan.
 
     Copy emissions surface as the marker-stripped plan token.  Final ranking
     is by length-normalized log probability.
     """
-    beam_size = model.hyper.beam_size if beam_size is None else beam_size
     max_len = model.hyper.max_len if max_len is None else max_len
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")

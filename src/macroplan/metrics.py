@@ -170,14 +170,20 @@ def _table_supported(rel: Relation, game: Game) -> bool:
     return False
 
 
-def rg(pred_relations: list[Relation], game: Game) -> tuple[float, float]:
-    """(count, precision%); an empty prediction set reports precision 100 and
-    carries zero weight in corpus aggregation."""
-    count = len(pred_relations)
-    if count == 0:
+def rg(pred_relations: list[list[Relation]],
+       games: list[Game]) -> tuple[float, float]:
+    """(relations per game, precision%) of each game's predicted relations,
+    aggregated over all relations: a game with none carries zero weight, and
+    a corpus with none reports precision 100."""
+    if len(pred_relations) != len(games):
+        raise ValueError("relation list and game counts differ")
+    total = sum(len(rels) for rels in pred_relations)
+    if total == 0:
         return 0.0, 100.0
-    supported = sum(1 for r in pred_relations if _table_supported(r, game))
-    return float(count), 100.0 * supported / count
+    supported = sum(_table_supported(r, game)
+                    for rels, game in zip(pred_relations, games)
+                    for r in rels)
+    return total / len(games), 100.0 * supported / total
 
 
 def cs(pred_relations, gold_relations) -> tuple[float, float, float]:
@@ -337,21 +343,17 @@ def evaluate_summaries(pred: list[SummaryDoc], games: list[Game],
     over all relations (zero-relation summaries carry zero weight); CO is the
     per-game mean; BLEU is corpus-level."""
     aliases = aliases or AliasTable()
-    total_rel = supported = 0
     pred_rels, gold_rels = [], []
     bleu_pairs = []
     for doc, game in zip(pred, games):
-        pred_rel = extract_relations(doc, game, lexicon, aliases)
-        total_rel += len(pred_rel)
-        supported += sum(1 for r in pred_rel if _table_supported(r, game))
-        pred_rels.append(pred_rel)
+        pred_rels.append(extract_relations(doc, game, lexicon, aliases))
         gold_rels.append(
             extract_relations(game.summary, game, lexicon, aliases))
         bleu_pairs.append((doc.tokens(), game.summary.tokens()))
+    rg_count, rg_precision = rg(pred_rels, games)
     csp, csr, csf, mean_co = intrinsic_plan_eval(pred_rels, gold_rels)
     report = MetricsReport(
-        rg_count=total_rel / len(games) if games else 0.0,
-        rg_precision=100.0 * supported / total_rel if total_rel else 100.0,
+        rg_count=rg_count, rg_precision=rg_precision,
         cs_precision=csp, cs_recall=csr, cs_f=csf, co=mean_co,
         bleu=corpus_bleu(bleu_pairs),
         plan_cs_f=plan_scores[0] if plan_scores else None,

@@ -22,6 +22,8 @@ __all__ = [
 ]
 
 ADAGRAD_EPS = 1e-10
+#: global L2 norm :func:`fit` rescales each step's gradients to at most
+GRAD_CLIP = 5.0
 INIT_RANGE = 0.1
 GRAD_CHECK_STEP = 1e-5
 #: lower bound on the denominator of :func:`grad_check`'s relative error, so
@@ -69,9 +71,6 @@ class ParamStore:
         self.create(f"{prefix}.W", (input_dim + hidden, 4 * hidden), rng)
         b = self.create(f"{prefix}.b", (4 * hidden,), rng, init="zeros")
         b.data[hidden:2 * hidden] = 1.0
-
-    def __contains__(self, name):
-        return name in self._params
 
     def __getitem__(self, name) -> Parameter:
         return self._params[name]
@@ -174,7 +173,7 @@ def fit(model, loss_fn, data: list, rng: np.random.Generator) -> list[float]:
             model.store.bind(tape)
             loss = loss_fn(tape, model, source, targets)
             tape.backward(loss)
-            adagrad_step(model.store, hyper.lr, clip=hyper.grad_clip)
+            adagrad_step(model.store, hyper.lr, clip=GRAD_CLIP)
             total += float(loss.data)
             predictions += len(targets) + 1
         trace.append(total / predictions)

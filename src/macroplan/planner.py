@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 UNK = "<unk>"
+#: pointer decisions a decode may take before it must stop, EOM aside
+MAX_PLAN_LEN = 20
 
 
 @dataclass(frozen=True)
@@ -43,10 +45,7 @@ class PlannerHyper:
     lr: float = 0.02
     epochs: int = 6
     seed: int = 13
-    grad_clip: float = 5.0
     stop_tol: float | None = None  # stop early once epoch NLL drops below
-    max_plan_len: int = 20
-    beam_size: int = 5
 
     @property
     def rep_dim(self) -> int:
@@ -303,7 +302,7 @@ def infer_plan(candidate_token_seqs, model: PlannerModel, beam_size: int = 5,
     two-occurrence unigram cap, and length-normalized final ranking."""
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
-    max_len = max_len or model.hyper.max_plan_len
+    max_len = max_len or MAX_PLAN_LEN
     dec = _PointerDecoder(model, candidate_token_seqs)
     k = dec.k
 
@@ -347,7 +346,7 @@ def greedy_plan(candidate_token_seqs, model: PlannerModel,
                 unigram_cap: bool = False,
                 max_len: int | None = None) -> MacroPlan:
     """Stepwise argmax decode under the same blocking constraints."""
-    max_len = max_len or model.hyper.max_plan_len
+    max_len = max_len or MAX_PLAN_LEN
     dec = _PointerDecoder(model, candidate_token_seqs)
     k = dec.k
 

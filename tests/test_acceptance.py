@@ -485,7 +485,7 @@ def test_ac10_template_baseline(capsys):
     worst = 100.0
     for game, _ in pairs:
         rels = extract_relations(templ_summary(game), game)
-        count, prec = rg(rels, game)
+        count, prec = rg([rels], [game])
         worst = min(worst, prec)
         ok &= count > 0 and prec == 100.0
     _report(capsys, "AC10 template baseline RG precision", ok,

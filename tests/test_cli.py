@@ -1,7 +1,11 @@
 import json
+import math
 import os
+import shutil
+import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -159,6 +163,27 @@ class TestStageOrdering:
             assert capsys.readouterr().err == \
                 f"error: {path}: truncated checkpoint\n", cut
 
+    @pytest.mark.parametrize("case", ["cut-after-third-record",
+                                      "other-planner-hidden"])
+    def test_checkpoint_config_mismatch_is_one_error_line(self, tmp_path,
+                                                          capsys, case):
+        for name in ("synth", "derive-plans", "train-planner"):
+            assert run(name, SMALL, tmp_path) == 0, name
+        path = tmp_path / "planner.mpln"
+        cfg = SMALL
+        if case == "cut-after-third-record":
+            raw = path.read_bytes()
+            path.write_bytes(raw[:_record_ends(raw)[2]])
+            want = f"error: {path}: no parameter 'enc_b.W'\n"
+        else:
+            cfg = replace(SMALL, planner_hidden=SMALL.planner_hidden + 1)
+            want = (f"error: {path}: parameter 'enc_f.W' has shape (14, 24), "
+                    f"the config makes (15, 28)\n")
+        capsys.readouterr()
+        assert run("plan", cfg, tmp_path) == 1
+        assert capsys.readouterr().err == want
+        assert not (tmp_path / "plans_pred.txt").exists()
+
     def test_needs_are_made_by_an_earlier_stage(self):
         made = set()
         for name, stage in STAGES.items():
@@ -169,6 +194,75 @@ class TestStageOrdering:
     def test_unknown_stage_rejected(self, tmp_path, capsys):
         assert run("bogus-stage", SMALL, tmp_path) == 2
         assert "unknown subcommand" in capsys.readouterr().err
+
+
+def _record_ends(raw: bytes) -> list[int]:
+    """The offset after each record of a checkpoint."""
+    ends, pos = [], 8
+    while pos < len(raw):
+        (name_len,) = struct.unpack_from("<I", raw, pos)
+        pos += 4 + name_len
+        (rank,) = struct.unpack_from("<I", raw, pos)
+        dims = struct.unpack_from(f"<{rank}Q", raw, pos + 4)
+        pos += 4 + 8 * rank + 8 * math.prod(dims)
+        ends.append(pos)
+    return ends
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """An output directory on which every stage up to ``generate`` ran."""
+    out = tmp_path_factory.mktemp("generated")
+    for name in STAGES:
+        if name == "evaluate":
+            break
+        assert run(name, SMALL, out) == 0, name
+    return out
+
+
+def _edit_lines(path: Path, edit) -> None:
+    path.write_text("".join(line + "\n" for line in
+                            edit(path.read_text().splitlines())))
+
+
+def _drop_line_key(lines, key):
+    obj = json.loads(lines[0])
+    del obj[key]
+    return [json.dumps(obj)] + lines[1:]
+
+
+class TestArtifactsMatchGames:
+    """A plan or summary file that does not hold one line for each game of
+    ``games.jsonl`` fails its reader with one ``error:`` line naming the
+    file and the game, or the line where no game can be read from it."""
+
+    @pytest.mark.parametrize("stage, name, edit, message", [
+        ("generate", "plans_pred.txt",
+         lambda lines: lines + ["bogus-game" + lines[0][lines[0].index("\t"):]],
+         "line for unknown game 'bogus-game'"),
+        ("generate", "plans_pred.txt", lambda lines: lines[:-1],
+         "no line for game '{last}'"),
+        ("evaluate", "summaries.jsonl",
+         lambda lines: _drop_line_key(lines, "paragraphs"),
+         "no paragraphs for game '{first}'"),
+        ("evaluate", "summaries.jsonl", lambda lines: lines[:-1],
+         "no line for game '{last}'"),
+        ("evaluate", "summaries.jsonl", lambda lines: lines[:1] + ["[]"],
+         "line 2 is not an object"),
+    ], ids=["plan-unknown-game", "plan-missing-game",
+            "summary-without-paragraphs", "summary-missing-game",
+            "summary-not-an-object"])
+    def test_mismatch_is_one_error_line(self, generated, tmp_path, capsys,
+                                        stage, name, edit, message):
+        out = tmp_path / "out"
+        shutil.copytree(generated, out)
+        ids = [json.loads(line)["id"] for line in
+               (out / "games.jsonl").read_text().splitlines()]
+        _edit_lines(out / name, edit)
+        capsys.readouterr()
+        assert run(stage, SMALL, out) == 1
+        message = message.format(first=ids[0], last=ids[-1])
+        assert capsys.readouterr().err == f"error: {out / name}: {message}\n"
 
 
 class TestStages:

@@ -3,8 +3,7 @@ import dataclasses
 import pytest
 
 from macroplan.data import (AliasTable, Game, GameValidationError, SummaryDoc,
-                            load_games, numeric_value,
-                            reconstruct_paragraphs, save_games,
+                            load_games, numeric_value, save_games,
                             split_sentences, tokenize, game_to_obj,
                             game_from_obj)
 
@@ -124,22 +123,6 @@ class TestAliasTable:
     def test_lookup(self, aliases):
         assert aliases.canonical("Kansas City") == "Royals"
         assert aliases.canonical("Missing") is None
-
-
-class TestReconstructParagraphs:
-    def test_superset_merge(self, demo_game, aliases):
-        sentences = [
-            ["W.Merrifield", "and", "R.O'Hearn", "starred", "."],
-            ["W.Merrifield", "homered", "."],        # subset -> merged
-            ["C.Mullins", "answered", "."],           # not a subset
-        ]
-        doc = reconstruct_paragraphs(sentences, demo_game, aliases)
-        assert len(doc.paragraphs) == 2
-        assert doc.paragraphs[0][-2] == "homered"
-
-    def test_empty_input_rejected(self, demo_game, aliases):
-        with pytest.raises(ValueError):
-            reconstruct_paragraphs([], demo_game, aliases)
 
 
 def test_numeric_value():

@@ -1,9 +1,10 @@
 """Source hygiene checks that need no linter: every import in the package and
 the scripts is used, and so is every private top-level function and class.
 Every public top-level function and class of the package is referenced by
-the package, the scripts or the tests, every optional parameter of the
-package is set by some call, and every parameter is read by its function's
-body unless the function is passed around as a value."""
+the package, the scripts or the tests, and every top-level definition is
+reached from a stage or from a named acceptance oracle.  Every optional parameter of the package is set by
+some call, and every parameter is read by its function's body unless the
+function is passed around as a value."""
 
 import ast
 from collections import defaultdict
@@ -208,3 +209,73 @@ def test_no_unread_parameters(path):
                                                                     exempt)]
     assert not unread, f"{path.relative_to(ROOT)}: parameters no body " \
         "reads: " + ", ".join(unread)
+
+
+#: definitions that no stage reaches, each kept for the check it serves;
+#: they count as roots, so what they call is reached too
+ORACLES = {
+    # AC1: both losses' gradients against central differences
+    "grad_check": "tests/test_acceptance.py::test_ac1_gradient_fidelity",
+    # AC3 and AC9: width-1 beam search against stepwise argmax
+    "greedy_plan": "tests/test_acceptance.py::test_ac9_beam_search_invariants",
+    # AC7: sentence BLEU on hand-computed cases
+    "bleu": "tests/test_acceptance.py::test_ac7_metric_oracles",
+    # AC10: the template baseline's relations are all table-supported
+    "templ_summary": "tests/test_acceptance.py::test_ac10_template_baseline",
+    # the box-score oracle of synthesized games
+    "check_consistency": "tests/test_synth.py",
+}
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _read_names(node):
+    """Names ``node`` reads, bare or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)}
+
+
+def _reachability(extra_roots):
+    """(top-level definitions of the package and the scripts by name, the
+    names reached).  The roots are every module-level statement but the
+    definitions and ``__all__``, plus ``cli.main`` and the definitions named
+    in ``extra_roots``; a definition is reached when a reached body reads its
+    name.  Names stand for every definition they name, in any module."""
+    defs, pending = defaultdict(list), []
+    for path in SOURCES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, DEFINITIONS):
+                defs[node.name].append((path, node))
+            elif not (isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)):
+                pending.append(node)
+    pending += [node for path, node in defs["main"] if path.name == "cli.py"]
+    pending += [node for name in extra_roots for _, node in defs[name]]
+    reached = set()
+    while pending:
+        for name in _read_names(pending.pop()) - reached:
+            reached.add(name)
+            pending += [node for _, node in defs[name]]
+    return defs, reached
+
+
+def test_every_definition_is_reached():
+    defs, reached = _reachability(ORACLES)
+    unreached = sorted(f"{path.relative_to(ROOT)}: {name} (line "
+                       f"{node.lineno})"
+                       for name, found in defs.items() for path, node in found
+                       if name not in reached | set(ORACLES))
+    assert not unreached, "definitions no stage reaches: " \
+        + ", ".join(unreached)
+
+
+def test_oracle_allowlist_is_current():
+    defs, reached = _reachability(())
+    stale = sorted(
+        name for name, check in ORACLES.items()
+        if name not in defs or name in reached or name not in _referenced(
+            ast.parse((ROOT / check.split("::")[0]).read_text())))
+    assert not stale, "allowlisted as oracles but missing, reached by a " \
+        "stage or not read by the check named: " + ", ".join(stale)

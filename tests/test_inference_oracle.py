@@ -16,10 +16,10 @@ from macroplan.generator import (BOS, EOS, UNK, GeneratorHyper,
                                  build_gen_vocab, decode_step, encode_plan,
                                  generate)
 from macroplan.nn import ParamStore, lstm_step
-from macroplan.planner import (BeamHypothesis, MacroPlan, PlannerHyper,
-                               PlannerModel, _forward_reps, _reps_with_eom,
-                               build_vocab, greedy_plan, infer_plan,
-                               pointer_step)
+from macroplan.planner import (MAX_PLAN_LEN, BeamHypothesis, MacroPlan,
+                               PlannerHyper, PlannerModel, _forward_reps,
+                               _reps_with_eom, build_vocab, greedy_plan,
+                               infer_plan, pointer_step)
 from macroplan.verbalize import strip_marker
 
 # ---------------------------------------------------------------------------
@@ -35,7 +35,7 @@ def _has_blocked_bigram(prefix, nxt):
 
 def oracle_infer_plan(candidate_token_seqs, model, beam_size=5,
                       unigram_cap=False, max_len=None):
-    max_len = max_len or model.hyper.max_plan_len
+    max_len = max_len or MAX_PLAN_LEN
     id_seqs = [model.token_ids(s) for s in candidate_token_seqs]
     tape = Tape()
     store = model.store
@@ -85,7 +85,7 @@ def oracle_infer_plan(candidate_token_seqs, model, beam_size=5,
 
 def oracle_greedy_plan(candidate_token_seqs, model, unigram_cap=False,
                        max_len=None):
-    max_len = max_len or model.hyper.max_plan_len
+    max_len = max_len or MAX_PLAN_LEN
     id_seqs = [model.token_ids(s) for s in candidate_token_seqs]
     tape = Tape()
     store = model.store
@@ -133,10 +133,9 @@ def _surface_dist(model, plan_tokens, p_gen, p_copy, alpha, dropped):
     return dist
 
 
-def oracle_generate(plan_tokens, model, beam_size=None, max_len=None,
+def oracle_generate(plan_tokens, model, beam_size, max_len=None,
                     dropped=(UNK, BOS, "")):
     """``dropped``: the surfaces never emitted."""
-    beam_size = model.hyper.beam_size if beam_size is None else beam_size
     max_len = model.hyper.max_len if max_len is None else max_len
     tape = Tape()
     model.store.bind(tape)

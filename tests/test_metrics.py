@@ -69,23 +69,23 @@ class TestExtraction:
 class TestRG:
     def test_all_supported(self, demo_game):
         rels = [Relation("Royals", "TR", "9"), Relation("Orioles", "TH", "5")]
-        assert rg(rels, demo_game) == (2.0, 100.0)
+        assert rg([rels], [demo_game]) == (2.0, 100.0)
 
     def test_unsupported_counted(self, demo_game):
         rels = [Relation("Royals", "TR", "9"), Relation("Royals", "TR", "7")]
-        count, prec = rg(rels, demo_game)
+        count, prec = rg([rels], [demo_game])
         assert count == 2.0 and prec == 50.0
 
     def test_unknown_entity_unsupported(self, demo_game):
-        _, prec = rg([Relation("Ghost", "TR", "9")], demo_game)
+        _, prec = rg([[Relation("Ghost", "TR", "9")]], [demo_game])
         assert prec == 0.0
 
     def test_empty_is_vacuous_hundred(self, demo_game):
-        assert rg([], demo_game) == (0.0, 100.0)
+        assert rg([[]], [demo_game]) == (0.0, 100.0)
 
     def test_numeric_equivalence(self, demo_game):
         # "09" and "9" support the same record
-        _, prec = rg([Relation("Royals", "TR", "09")], demo_game)
+        _, prec = rg([[Relation("Royals", "TR", "09")]], [demo_game])
         assert prec == 100.0
 
 
