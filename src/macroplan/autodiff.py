@@ -212,9 +212,8 @@ class Tape:
     def row(self, a: "Tensor", i: int) -> "Tensor":
         return self._index(a, i)
 
-    def column(self, a: "Tensor", j: int, keepdims: bool = True) -> "Tensor":
-        return self._index(a, (slice(None),
-                               slice(j, j + 1) if keepdims else j))
+    def column(self, a: "Tensor", j: int) -> "Tensor":
+        return self._index(a, (slice(None), slice(j, j + 1)))
 
     def gather_rows(self, table: "Tensor", indices) -> "Tensor":
         idx = np.asarray(indices, dtype=np.int64)
@@ -366,8 +365,8 @@ class NoGrad:
         return a[i]
 
     @staticmethod
-    def column(a, j: int, keepdims: bool = True):
-        return a[:, j:j + 1] if keepdims else a[:, j]
+    def column(a, j: int):
+        return a[:, j:j + 1]
 
     @staticmethod
     def gather_rows(table, indices):
@@ -454,9 +453,6 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad[key] += g
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"

@@ -11,6 +11,10 @@ from .verbalize import ParagraphPlanSpec
 __all__ = ["templ_summary", "realize_plan_template"]
 
 _ORDINAL_BY_NUMBER = {v: k for k, v in ORDINAL_WORDS.items()}
+#: how many batters (by RBI, then hits) and pitchers (by strikeouts)
+#: :func:`templ_summary` describes
+TOP_BATTERS = 4
+TOP_PITCHERS = 2
 
 
 def _winner_loser(game: Game):
@@ -52,8 +56,7 @@ def _half_sentences(game: Game, inning: int, half: str) -> list[str]:
     return tokens
 
 
-def templ_summary(game: Game, top_batters: int = 4,
-                  top_pitchers: int = 2) -> SummaryDoc:
+def templ_summary(game: Game) -> SummaryDoc:
     """Fixed-layout summary.  Numeric sentences carry exactly one entity and
     pair each number with an adjacent type-defining cue word, so rule-based
     extraction recovers only table-supported relations."""
@@ -75,9 +78,9 @@ def templ_summary(game: Game, top_batters: int = 4,
     pitchers = [p for p in game.players
                 if p.player_role() == "pitcher"]
     player_tokens: list[str] = []
-    for p in sorted(batters, key=sort_key(("RBI", "BH")))[:top_batters]:
+    for p in sorted(batters, key=sort_key(("RBI", "BH")))[:TOP_BATTERS]:
         player_tokens.extend(_batter_sentence(p))
-    for p in sorted(pitchers, key=sort_key(("K",)))[:top_pitchers]:
+    for p in sorted(pitchers, key=sort_key(("K",)))[:TOP_PITCHERS]:
         player_tokens.extend(_pitcher_sentence(p))
     if player_tokens:
         paragraphs.append(player_tokens)

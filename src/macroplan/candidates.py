@@ -8,18 +8,10 @@ from .verbalize import ParagraphPlanSpec, verbalize_plan
 __all__ = ["enumerate_candidates", "augment_with_gold"]
 
 
-def enumerate_candidates(game: Game, kind: str | None = None,
-                         player_pairs: bool | None = None) -> list[ParagraphPlanSpec]:
+def enumerate_candidates(game: Game) -> list[ParagraphPlanSpec]:
     """The candidate set E: singletons (teams, players, half-innings) followed
     by combinations (team-pair, team+player, player+both-teams, and, for
-    event-free data, player+player pairs).
-
-    ``player_pairs`` overrides the kind-based default for whether player-player
-    pairs are included.
-    """
-    kind = kind or game.kind
-    if player_pairs is None:
-        player_pairs = kind == "event-free"
+    event-free data, player+player pairs)."""
     visiting, home = game.visiting_team.name, game.home_team.name
     players = [p.name for p in game.players]
 
@@ -28,7 +20,7 @@ def enumerate_candidates(game: Game, kind: str | None = None,
     specs.append(ParagraphPlanSpec("entity-singleton", (home,)))
     for p in players:
         specs.append(ParagraphPlanSpec("entity-singleton", (p,)))
-    if kind == "event-rich":
+    if game.kind == "event-rich":
         for inning, half in game.halves():
             specs.append(ParagraphPlanSpec("event-group", (), ((inning, half),)))
 
@@ -38,7 +30,7 @@ def enumerate_candidates(game: Game, kind: str | None = None,
             specs.append(ParagraphPlanSpec("entity-pair", (team, p)))
     for p in players:
         specs.append(ParagraphPlanSpec("entity-pair", (p, visiting, home)))
-    if player_pairs:
+    if game.kind == "event-free":
         for i in range(len(players)):
             for j in range(i + 1, len(players)):
                 specs.append(ParagraphPlanSpec("entity-pair",

@@ -138,9 +138,15 @@ def format_plan_line(game_id: str, plan: MacroPlan,
 
 def parse_plan_line(line: str):
     """Returns (game_id, [(entity_refs, event_refs), ...], pointer list)."""
-    game_id, rendering, comment = line.rstrip("\n").split("\t")
-    pointers = [int(x) for x in comment.lstrip("# ").split()] \
-        if comment.strip("# ") else []
+    fields = line.rstrip("\n").split("\t")
+    if len(fields) != 3:
+        raise ValueError(f"expected 3 tab-separated fields, found "
+                         f"{len(fields)}")
+    game_id, rendering, comment = fields
+    try:
+        pointers = [int(x) for x in comment.lstrip("# ").split()]
+    except ValueError:
+        raise ValueError(f"pointers {comment!r} are not integers") from None
     paragraphs = []
     for part in rendering.split(PARAGRAPH_SEP):
         entity_refs: list[str] = []
@@ -183,10 +189,13 @@ def read_plan_file(path, games: list[Game]):
     by_id = {g.id: g for g in games}
     plans: dict[str, list[ParagraphPlanSpec]] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            game_id, paragraphs, _ = parse_plan_line(line)
+            try:
+                game_id, paragraphs, _ = parse_plan_line(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
             game = _game(path, by_id, game_id)
             plans[game_id] = [_spec_from_refs(e, v, game)
                               for e, v in paragraphs]
@@ -200,9 +209,12 @@ def _read_summaries(path, games: list[Game]) -> dict[str, SummaryDoc]:
     docs: dict[str, SummaryDoc] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except ValueError:
+                obj = None
             if not isinstance(obj, dict):
-                raise ValueError(f"{path}: line {lineno} is not an object")
+                raise ValueError(f"{path}: line {lineno}: not a JSON object")
             game_id = _game(path, by_id, obj.get("id")).id
             if "paragraphs" not in obj:
                 raise ValueError(f"{path}: no paragraphs for game "
@@ -313,8 +325,10 @@ def stage_derive_plans(cfg: RunConfig, out: Path) -> None:
     aliases, lexicon = cfg.aliases(), cfg.inning_lexicon()
     lines = []
     for game in games:
-        plan, specs = derive_macro_plan(game, aliases, lexicon)
-        lines.append(format_plan_line(game.id, plan, specs))
+        specs = derive_macro_plan(game, aliases, lexicon)
+        # a gold plan points at its paragraphs in order
+        lines.append(format_plan_line(
+            game.id, MacroPlan(tuple(range(len(specs)))), specs))
     (out / "plans_gold.txt").write_text("\n".join(lines) + "\n")
     print(f"derive-plans: wrote {len(lines)} gold plans")
 
@@ -393,10 +407,8 @@ def _generator_pairs(games: list[Game], plans, merges: int):
     bpe_model = bpe_mod.learn_bpe(summaries, merges, protected=protected)
     pairs = []
     for game, tokens in zip(games, summaries):
-        specs = plans[game.id]
-        plan = MacroPlan(tuple(range(len(specs))))
-        pairs.append((linearize(plan, specs), bpe_mod.encode(bpe_model,
-                                                             tokens)))
+        pairs.append((linearize(plans[game.id]),
+                      bpe_mod.encode(bpe_model, tokens)))
     return pairs, bpe_model
 
 
@@ -432,9 +444,8 @@ def stage_generate(cfg: RunConfig, out: Path) -> None:
 
     results = []
     for game in games:
-        specs = plans[game.id]
-        plan = MacroPlan(tuple(range(len(specs))))
-        tokens = generate(linearize(plan, specs), model, beam_size=cfg.beam)
+        tokens = generate(linearize(plans[game.id]), model,
+                          beam_size=cfg.beam)
         results.append((game.id, _summary_from_tokens(bpe_model, tokens)))
 
     jsonl, readable = [], []

@@ -217,9 +217,6 @@ class AliasTable:
     def __init__(self, mapping: dict[str, str] | None = None):
         self._map = dict(mapping or {})
 
-    def canonical(self, surface: str) -> str | None:
-        return self._map.get(surface)
-
     def items(self):
         return self._map.items()
 

@@ -53,7 +53,6 @@ class GeneratorModel:
                  hyper: GeneratorHyper):
         self.store = store
         self.vocab = vocab
-        self.id_to_token = {i: t for t, i in vocab.items()}
         self.hyper = hyper
 
     @staticmethod
@@ -153,14 +152,14 @@ def _copy_mask(surfaces: list[str], target: str) -> np.ndarray:
 
 
 def instance_loss(tape: Tape, model: GeneratorModel, plan_tokens: list[str],
-                  target_tokens: list[str], trunc: int | None = None) -> Tensor:
+                  target_tokens: list[str]) -> Tensor:
     """Teacher-forced NLL of the target under the generate/copy mixture.
 
-    The decoder recurrent state is detached every ``trunc`` steps so
+    The decoder recurrent state is detached every ``hyper.trunc`` steps so
     gradients do not flow across segment boundaries (truncated BPTT); the
     encoder still receives gradient from every step through attention.
     """
-    trunc = trunc or model.hyper.trunc
+    trunc = model.hyper.trunc
     store = model.store
     plan_ids = [model.token_id(t) for t in plan_tokens]
     S, h, c = encode_plan(tape, model, plan_ids)
@@ -272,14 +271,14 @@ class _Hyp:
         return self.logprob / max(len(self.tokens), 1)
 
 
-def generate(plan_tokens: list[str], model: GeneratorModel, beam_size: int,
-             max_len: int | None = None) -> list[str]:
-    """Beam-search decode a token sequence (EOS excluded) for the plan.
+def generate(plan_tokens: list[str], model: GeneratorModel,
+             beam_size: int) -> list[str]:
+    """Beam-search decode a token sequence (EOS excluded) for the plan, of at
+    most ``hyper.max_len`` tokens.
 
     Copy emissions surface as the marker-stripped plan token.  Final ranking
     is by length-normalized log probability.
     """
-    max_len = model.hyper.max_len if max_len is None else max_len
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
     S, h0, c0 = encode_plan(NO_GRAD, model,
@@ -291,7 +290,7 @@ def generate(plan_tokens: list[str], model: GeneratorModel, beam_size: int,
 
     beams = [_Hyp((), 0.0, h0, c0, model.token_id(BOS))]
     finished: list[_Hyp] = []
-    for _step in range(max_len):
+    for _step in range(model.hyper.max_len):
         h, c = lstm_step(
             NO_GRAD,
             NO_GRAD.gather_rows(emb, np.array([hyp.prev for hyp in beams])),

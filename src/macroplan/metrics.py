@@ -298,7 +298,7 @@ def plan_fidelity(summary: SummaryDoc, plan_specs: list[ParagraphPlanSpec],
     ``plan_specs``; returns (CS-F, CO)."""
     aliases = aliases or AliasTable()
     reverse_game = _with_summary(game, summary)
-    _, derived = derive_macro_plan(reverse_game, aliases, lexicon)
+    derived = derive_macro_plan(reverse_game, aliases, lexicon)
     _, _, f, co_val = intrinsic_plan_eval(
         [plan_identifiers(derived)], [plan_identifiers(plan_specs)])
     return f, co_val

@@ -22,7 +22,7 @@ __all__ = [
 ]
 
 ADAGRAD_EPS = 1e-10
-#: global L2 norm :func:`fit` rescales each step's gradients to at most
+#: global L2 norm :func:`adagrad_step` rescales the gradients to at most
 GRAD_CLIP = 5.0
 INIT_RANGE = 0.1
 GRAD_CHECK_STEP = 1e-5
@@ -74,9 +74,6 @@ class ParamStore:
 
     def __getitem__(self, name) -> Parameter:
         return self._params[name]
-
-    def names(self) -> list[str]:
-        return list(self._params)
 
     def items(self):
         return self._params.items()
@@ -132,20 +129,18 @@ def bilstm_encode(tape: Tape | NoGrad, seq: list, W_f, b_f, W_b, b_b,
     return [tape.concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
 
 
-def adagrad_step(store: ParamStore, lr: float,
-                 clip: float | None = None) -> None:
+def adagrad_step(store: ParamStore, lr: float) -> None:
     """accumulator += grad^2; param -= lr * grad / (sqrt(accumulator) + eps).
 
-    With ``clip`` set, gradients are first rescaled so their global L2 norm
-    does not exceed it.
+    Gradients are first rescaled so that their global L2 norm does not
+    exceed :data:`GRAD_CLIP`.
     """
     if lr <= 0:
         raise ValueError("learning rate must be positive")
     grads = store.grads()
-    if clip is not None:
-        norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-        if norm > clip:
-            grads = {n: g * (clip / norm) for n, g in grads.items()}
+    norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    if norm > GRAD_CLIP:
+        grads = {n: g * (GRAD_CLIP / norm) for n, g in grads.items()}
     for name, grad in grads.items():
         p = store[name]
         p.accumulator += grad * grad
@@ -173,7 +168,7 @@ def fit(model, loss_fn, data: list, rng: np.random.Generator) -> list[float]:
             model.store.bind(tape)
             loss = loss_fn(tape, model, source, targets)
             tape.backward(loss)
-            adagrad_step(model.store, hyper.lr, clip=GRAD_CLIP)
+            adagrad_step(model.store, hyper.lr)
             total += float(loss.data)
             predictions += len(targets) + 1
         trace.append(total / predictions)

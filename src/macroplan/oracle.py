@@ -241,11 +241,8 @@ def resolve_half(inning: int, mentions: list[EntityMention], game: Game) -> str:
 
 def derive_macro_plan(game: Game, aliases: AliasTable,
                       lexicon: InningLexicon = DEFAULT_INNING_LEXICON):
-    """One ParagraphPlanSpec per summary paragraph; returns
-    ``(MacroPlan, specs)`` with the plan pointing at the specs in paragraph
-    order.  Paragraphs matching nothing are dropped with a warning."""
-    from .planner import MacroPlan
-
+    """One ParagraphPlanSpec per summary paragraph, in paragraph order.
+    Paragraphs matching nothing are dropped with a warning."""
     specs: list[ParagraphPlanSpec] = []
     for p_idx, paragraph in enumerate(game.summary.paragraphs):
         paragraph = list(paragraph)
@@ -275,9 +272,7 @@ def derive_macro_plan(game: Game, aliases: AliasTable,
                         game.id, p_idx)
             continue
         specs.append(verbalize_plan(spec, game))
-
-    plan = MacroPlan(pointer_sequence=tuple(range(len(specs))), terminated=True)
-    return plan, specs
+    return specs
 
 
 def _classify_spec(entity_refs, event_refs) -> ParagraphPlanSpec | None:

@@ -296,19 +296,17 @@ class _PointerDecoder:
 
 
 def infer_plan(candidate_token_seqs, model: PlannerModel, beam_size: int = 5,
-               unigram_cap: bool = False,
-               max_len: int | None = None) -> MacroPlan:
+               unigram_cap: bool = False) -> MacroPlan:
     """Beam search over pointer sequences with bigram blocking, an optional
     two-occurrence unigram cap, and length-normalized final ranking."""
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
-    max_len = max_len or MAX_PLAN_LEN
     dec = _PointerDecoder(model, candidate_token_seqs)
     k = dec.k
 
     beams = [dec.root()]
     finished: list[BeamHypothesis] = []
-    for _step in range(max_len + 1):
+    for _step in range(MAX_PLAN_LEN + 1):
         h, c, dist = dec.step(beams)
         logp = np.array([hyp.logprob for hyp in beams])[:, None] \
             + np.log(np.maximum(dist, 1e-300))
@@ -343,15 +341,13 @@ def infer_plan(candidate_token_seqs, model: PlannerModel, beam_size: int = 5,
 
 
 def greedy_plan(candidate_token_seqs, model: PlannerModel,
-                unigram_cap: bool = False,
-                max_len: int | None = None) -> MacroPlan:
+                unigram_cap: bool = False) -> MacroPlan:
     """Stepwise argmax decode under the same blocking constraints."""
-    max_len = max_len or MAX_PLAN_LEN
     dec = _PointerDecoder(model, candidate_token_seqs)
     k = dec.k
 
     hyp = dec.root()
-    for _step in range(max_len + 1):
+    for _step in range(MAX_PLAN_LEN + 1):
         h, c, dist = dec.step([hyp])
         dist = dist[0]
         dist[:k][~_allowed([hyp], k, unigram_cap)[0]] = -1.0
@@ -368,12 +364,12 @@ def greedy_plan(candidate_token_seqs, model: PlannerModel,
     return MacroPlan(hyp.pointers, terminated=False)
 
 
-def linearize(plan: MacroPlan, specs: list[ParagraphPlanSpec]) -> list[str]:
-    """Concatenate verbalized paragraph plans in pointer order with ``<P>``
-    between consecutive plans."""
+def linearize(specs: list[ParagraphPlanSpec]) -> list[str]:
+    """Concatenate verbalized paragraph plans in order with ``<P>`` between
+    consecutive plans."""
     tokens: list[str] = []
-    for pos, idx in enumerate(plan.pointer_sequence):
+    for pos, spec in enumerate(specs):
         if pos > 0:
             tokens.append(PARAGRAPH_SEP)
-        tokens.extend(specs[idx].tokens)
+        tokens.extend(spec.tokens)
     return tokens

@@ -82,7 +82,8 @@ class TestRunConfig:
 
 class TestPlanLineFormat:
     def test_round_trip(self, demo_game, aliases):
-        plan, specs = derive_macro_plan(demo_game, aliases)
+        specs = derive_macro_plan(demo_game, aliases)
+        plan = MacroPlan(tuple(range(len(specs))))
         line = format_plan_line(demo_game.id, plan, specs)
         game_id, paragraphs, pointers = parse_plan_line(line)
         assert game_id == demo_game.id
@@ -93,7 +94,8 @@ class TestPlanLineFormat:
             assert evs == spec.event_refs
 
     def test_read_plan_file(self, demo_game, aliases, tmp_path):
-        plan, specs = derive_macro_plan(demo_game, aliases)
+        specs = derive_macro_plan(demo_game, aliases)
+        plan = MacroPlan(tuple(range(len(specs))))
         path = tmp_path / "plans.txt"
         path.write_text(format_plan_line(demo_game.id, plan, specs) + "\n")
         plans = read_plan_file(path, [demo_game])
@@ -242,16 +244,27 @@ class TestArtifactsMatchGames:
          "line for unknown game 'bogus-game'"),
         ("generate", "plans_pred.txt", lambda lines: lines[:-1],
          "no line for game '{last}'"),
+        ("generate", "plans_pred.txt",
+         lambda lines: [lines[0].replace("\t", " ", 1)] + lines[1:],
+         "line 1: expected 3 tab-separated fields, found 2"),
+        ("generate", "plans_pred.txt",
+         lambda lines: lines[:1] + [lines[1].rsplit("\t", 1)[0] + "\t# 0 x"]
+         + lines[2:],
+         "line 2: pointers '# 0 x' are not integers"),
         ("evaluate", "summaries.jsonl",
          lambda lines: _drop_line_key(lines, "paragraphs"),
          "no paragraphs for game '{first}'"),
         ("evaluate", "summaries.jsonl", lambda lines: lines[:-1],
          "no line for game '{last}'"),
         ("evaluate", "summaries.jsonl", lambda lines: lines[:1] + ["[]"],
-         "line 2 is not an object"),
-    ], ids=["plan-unknown-game", "plan-missing-game",
-            "summary-without-paragraphs", "summary-missing-game",
-            "summary-not-an-object"])
+         "line 2: not a JSON object"),
+        ("evaluate", "summaries.jsonl",
+         lambda lines: lines[:1] + [lines[1][:len(lines[1]) // 2]],
+         "line 2: not a JSON object"),
+    ], ids=["plan-unknown-game", "plan-missing-game", "plan-missing-tab",
+            "plan-pointer-not-an-integer", "summary-without-paragraphs",
+            "summary-missing-game", "summary-not-an-object",
+            "summary-cut-mid-line"])
     def test_mismatch_is_one_error_line(self, generated, tmp_path, capsys,
                                         stage, name, edit, message):
         out = tmp_path / "out"

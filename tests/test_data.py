@@ -121,8 +121,9 @@ class TestHalves:
 
 class TestAliasTable:
     def test_lookup(self, aliases):
-        assert aliases.canonical("Kansas City") == "Royals"
-        assert aliases.canonical("Missing") is None
+        mapping = dict(aliases.items())
+        assert mapping["Kansas City"] == "Royals"
+        assert "Missing" not in mapping
 
 
 def test_numeric_value():

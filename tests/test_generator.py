@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -158,8 +160,8 @@ class TestInstanceLoss:
         model.store.bind(tape)
         loss = instance_loss(tape, model, PLAN, TARGET)
         v = len(model.vocab)
-        assert loss.item() == pytest.approx((len(TARGET) + 1) * np.log(v),
-                                            rel=1e-6)
+        assert float(loss.data) == pytest.approx(
+            (len(TARGET) + 1) * np.log(v), rel=1e-6)
 
     def test_copy_only_token_reachable(self):
         # a target token absent from the vocabulary can still get probability
@@ -168,26 +170,31 @@ class TestInstanceLoss:
         tape = Tape()
         model.store.bind(tape)
         loss = instance_loss(tape, model, PLAN, ["C.Mullins"])
-        assert np.isfinite(loss.item())
+        assert np.isfinite(float(loss.data))
         assert "C.Mullins" not in model.vocab  # really out-of-vocabulary
 
-    def test_truncation_detaches_but_preserves_value(self):
+    @staticmethod
+    def _models_by_trunc():
+        """Models at ``trunc`` 100 and 2 that share one parameter store."""
         model = tiny_model()
-        t1 = Tape()
-        model.store.bind(t1)
-        full = instance_loss(t1, model, PLAN, TARGET, trunc=100)
-        t2 = Tape()
-        model.store.bind(t2)
-        truncated = instance_loss(t2, model, PLAN, TARGET, trunc=2)
-        assert full.item() == pytest.approx(truncated.item())  # forward equal
+        return [GeneratorModel(model.store, model.vocab,
+                               replace(model.hyper, trunc=trunc))
+                for trunc in (100, 2)]
 
-    def test_truncation_changes_gradient(self):
-        model = tiny_model()
-        grads = []
-        for trunc in (100, 2):
+    def test_truncation_detaches_but_preserves_value(self):
+        losses = []
+        for model in self._models_by_trunc():
             tape = Tape()
             model.store.bind(tape)
-            loss = instance_loss(tape, model, PLAN, TARGET, trunc=trunc)
+            losses.append(float(instance_loss(tape, model, PLAN, TARGET).data))
+        assert losses[0] == pytest.approx(losses[1])  # forward equal
+
+    def test_truncation_changes_gradient(self):
+        grads = []
+        for model in self._models_by_trunc():
+            tape = Tape()
+            model.store.bind(tape)
+            loss = instance_loss(tape, model, PLAN, TARGET)
             tape.backward(loss)
             grads.append(model.store.grads()["dec.W"].copy())
         assert not np.allclose(grads[0], grads[1])
@@ -224,24 +231,24 @@ class TestTraining:
 
 
 class TestGenerate:
-    def _trained(self, epochs=150):
+    def _trained(self, epochs=150, max_len=30):
         model, _ = train_generator([(PLAN, TARGET)], GeneratorHyper(
             emb_dim=8, hidden=8, epochs=epochs, lr=0.1, seed=0,
-            stop_tol=0.005))
+            stop_tol=0.005, max_len=max_len))
         return model
 
     def test_overfit_reproduces_target(self):
         model = self._trained()
-        assert generate(PLAN, model, beam_size=2, max_len=30) == TARGET
+        assert generate(PLAN, model, beam_size=2) == TARGET
 
     def test_no_eos_or_bos_in_output(self):
-        model = self._trained(epochs=3)
-        out = generate(PLAN, model, beam_size=2, max_len=15)
+        model = self._trained(epochs=3, max_len=15)
+        out = generate(PLAN, model, beam_size=2)
         assert EOS not in out and BOS not in out and UNK not in out
 
     def test_length_cap_respected(self):
-        model = tiny_model()
-        out = generate(PLAN, model, beam_size=2, max_len=5)
+        model = tiny_model(hyper=replace(TINY, max_len=5))
+        out = generate(PLAN, model, beam_size=2)
         assert len(out) <= 5
 
     @pytest.mark.parametrize("beam", [1, 2, 3])
@@ -249,9 +256,9 @@ class TestGenerate:
         # the <P> separator is the plan's only position, and the copy gate
         # is all but fully open: every step puts nearly all its mass on
         # the separator's empty surface, which must never come out
-        model = tiny_model()
+        model = tiny_model(hyper=replace(TINY, max_len=8))
         model.store["b_copy"].data = np.asarray(50.0)
-        out = generate(["<P>"], model, beam_size=beam, max_len=8)
+        out = generate(["<P>"], model, beam_size=beam)
         assert out and "" not in out
 
     def test_bad_beam_size(self):

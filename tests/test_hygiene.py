@@ -1,14 +1,17 @@
 """Source hygiene checks that need no linter: every import in the package and
 the scripts is used, and so is every private top-level function and class.
 Every public top-level function and class of the package is referenced by
-the package, the scripts or the tests, and every top-level definition is
-reached from a stage or from a named acceptance oracle.  Every optional parameter of the package is set by
-some call, and every parameter is read by its function's body unless the
-function is passed around as a value."""
+the package, the scripts or the tests, and every top-level definition and
+method is reached from a stage or from a named acceptance oracle.  Every
+optional parameter of the package is set by a stage, a script or the
+benchmark (or, for an oracle, by the check it serves), and every parameter
+is read by its function's body unless the function is passed around as a
+value."""
 
 import ast
 from collections import defaultdict
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -103,7 +106,10 @@ def test_no_unreferenced_public_definitions(path):
         "definitions nothing references: " + ", ".join(unreferenced)
 
 
-CALL_SITES = sorted(p for d in ("src", "scripts", "tests", "bench")
+#: the calls that count for an optional parameter: those of a stage, a script
+#: or the benchmark (an acceptance oracle's own parameters may also be set by
+#: the check it serves; see ORACLES)
+CALL_SITES = sorted(p for d in ("src", "scripts", "bench")
                     for p in (ROOT / d).rglob("*.py"))
 #: stands for every parameter: set by a call that passes *args or **kwargs
 EVERY = object()
@@ -135,21 +141,47 @@ def _optional_parameters(tree):
                 yield callee, arg.arg, None
 
 
+def _check(check):
+    """(file tree, node) of a check that ORACLES names: a test function of
+    a file, or the whole file."""
+    path, _, name = check.partition("::")
+    tree = ast.parse((ROOT / path).read_text())
+    return tree, next((node for node in tree.body
+                       if isinstance(node, ast.FunctionDef)
+                       and node.name == name), tree)
+
+
+def _calls(tree, node):
+    """(callee name, call) of every call under ``node``, with the names that
+    ``tree`` imports ``as`` another name resolved."""
+    aliases = {alias.asname: alias.name for n in ast.walk(tree)
+               if isinstance(n, ast.ImportFrom)
+               for alias in n.names if alias.asname}
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            func = call.func
+            if isinstance(func, ast.Name):
+                yield aliases.get(func.id, func.id), call
+            elif isinstance(func, ast.Attribute):
+                yield func.attr, call
+
+
 def _set_by_calls():
     """Callee name -> the parameter names and positions some call sets."""
+    sites = [(tree, tree, None) for tree in
+             (ast.parse(path.read_text()) for path in CALL_SITES)]
+    sites += [(*_check(check), oracle.rsplit(".", 1)[-1])
+              for oracle, check in ORACLES.items()]
     set_by = defaultdict(set)
-    for path in CALL_SITES:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.Call):
+    for tree, node, only in sites:
+        for name, call in _calls(tree, node):
+            if only not in (None, name):
                 continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(
-                func, "attr", None)
-            if any(isinstance(a, ast.Starred) for a in node.args) or any(
-                    k.arg is None for k in node.keywords):
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                    k.arg is None for k in call.keywords):
                 set_by[name].add(EVERY)
-            set_by[name].update(range(len(node.args)))
-            set_by[name].update(k.arg for k in node.keywords)
+            set_by[name].update(range(len(call.args)))
+            set_by[name].update(k.arg for k in call.keywords)
     return set_by
 
 
@@ -161,7 +193,7 @@ def test_no_unset_optional_parameters(path):
              for callee, param, pos in _optional_parameters(tree)
              if not {EVERY, param, pos} & set_by[callee]]
     assert not unset, f"{path.relative_to(ROOT)}: optional parameters no " \
-        "call sets: " + ", ".join(unset)
+        "stage, script or benchmark call sets: " + ", ".join(unset)
 
 
 def _value_references(tree):
@@ -216,66 +248,133 @@ def test_no_unread_parameters(path):
 ORACLES = {
     # AC1: both losses' gradients against central differences
     "grad_check": "tests/test_acceptance.py::test_ac1_gradient_fidelity",
+    # AC1: the gradient of every tape primitive
+    "Tape.sub": "tests/test_acceptance.py::test_ac1_gradient_fidelity",
     # AC3 and AC9: width-1 beam search against stepwise argmax
     "greedy_plan": "tests/test_acceptance.py::test_ac9_beam_search_invariants",
     # AC7: sentence BLEU on hand-computed cases
     "bleu": "tests/test_acceptance.py::test_ac7_metric_oracles",
+    # AC7: multiset content-selection scores on hand-computed cases
+    "cs": "tests/test_acceptance.py::test_ac7_metric_oracles",
     # AC10: the template baseline's relations are all table-supported
     "templ_summary": "tests/test_acceptance.py::test_ac10_template_baseline",
     # the box-score oracle of synthesized games
     "check_consistency": "tests/test_synth.py",
 }
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _read_names(node):
-    """Names ``node`` reads, bare or as an attribute."""
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node)
-            if isinstance(n, (ast.Name, ast.Attribute))
-            and isinstance(n.ctx, ast.Load)}
+class Definition(NamedTuple):
+    path: Path
+    label: str        # ``name`` or ``Class.method``
+    name: str         # the name a read reaches it by
+    method: bool      # reached only by an attribute read
+    lineno: int
+    parts: list       # the nodes whose reads it makes
 
 
-def _reachability(extra_roots):
-    """(top-level definitions of the package and the scripts by name, the
-    names reached).  The roots are every module-level statement but the
-    definitions and ``__all__``, plus ``cli.main`` and the definitions named
-    in ``extra_roots``; a definition is reached when a reached body reads its
-    name.  Names stand for every definition they name, in any module."""
-    defs, pending = defaultdict(list), []
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions():
+    """(every top-level definition and method of the package and the
+    scripts, the module-level statements but the definitions and
+    ``__all__``).  A class's dunder methods are parts of the class."""
+    defs, statements = [], []
     for path in SOURCES:
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, DEFINITIONS):
-                defs[node.name].append((path, node))
+            if isinstance(node, FUNCTIONS):
+                defs.append(Definition(path, node.name, node.name, False,
+                                       node.lineno, [node]))
+            elif isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if isinstance(m, FUNCTIONS)
+                           and not _is_dunder(m.name)]
+                defs.append(Definition(
+                    path, node.name, node.name, False, node.lineno,
+                    node.bases + node.keywords + node.decorator_list
+                    + [s for s in node.body if s not in methods]))
+                defs += [Definition(path, f"{node.name}.{m.name}", m.name,
+                                    True, m.lineno, [m]) for m in methods]
             elif not (isinstance(node, ast.Assign) and any(
                     isinstance(t, ast.Name) and t.id == "__all__"
                     for t in node.targets)):
-                pending.append(node)
-    pending += [node for path, node in defs["main"] if path.name == "cli.py"]
-    pending += [node for name in extra_roots for _, node in defs[name]]
-    reached = set()
+                statements.append(node)
+    return defs, statements
+
+
+def _bound(function):
+    """Names a function binds itself: parameters (its own and those of the
+    functions and lambdas inside it), assignment and loop targets, and the
+    functions and classes it defines inside."""
+    names = set()
+    for n in ast.walk(function):
+        if isinstance(n, ast.arg):
+            names.add(n.arg)
+        elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            names.add(n.id)
+        elif isinstance(n, (*FUNCTIONS, ast.ClassDef)) and n is not function:
+            names.add(n.name)
+    return names
+
+
+def _reads(node):
+    """(bare names, attribute names) ``node`` reads; a function reads no
+    module-level definition through a bare name it binds itself."""
+    bare, attrs = set(), set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            bare.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            attrs.add(n.attr)
+    if isinstance(node, FUNCTIONS):
+        bare -= _bound(node)
+    return bare, attrs
+
+
+def _reached(d, bare, attrs):
+    return d.name in attrs or (not d.method and d.name in bare)
+
+
+def _reachability(extra_roots):
+    """(every definition, the bare names reached, the attribute names
+    reached).  The roots are the module-level statements, ``cli.main`` and
+    the definitions labelled in ``extra_roots``; a definition is reached
+    when a reached part reads its name, a method only as an attribute.
+    Names stand for every definition they name, in any module or class."""
+    defs, pending = _definitions()
+    pending += [part for d in defs if d.label in extra_roots
+                or (d.label == "main" and d.path.name == "cli.py")
+                for part in d.parts]
+    bare, attrs = set(), set()
     while pending:
-        for name in _read_names(pending.pop()) - reached:
-            reached.add(name)
-            pending += [node for _, node in defs[name]]
-    return defs, reached
+        new_bare, new_attrs = _reads(pending.pop())
+        new_bare, new_attrs = new_bare - bare, new_attrs - attrs
+        if not new_bare and not new_attrs:
+            continue
+        bare |= new_bare
+        attrs |= new_attrs
+        pending += [part for d in defs if _reached(d, new_bare, new_attrs)
+                    for part in d.parts]
+    return defs, bare, attrs
 
 
 def test_every_definition_is_reached():
-    defs, reached = _reachability(ORACLES)
-    unreached = sorted(f"{path.relative_to(ROOT)}: {name} (line "
-                       f"{node.lineno})"
-                       for name, found in defs.items() for path, node in found
-                       if name not in reached | set(ORACLES))
+    defs, bare, attrs = _reachability(ORACLES)
+    unreached = sorted(f"{d.path.relative_to(ROOT)}: {d.label} (line "
+                       f"{d.lineno})" for d in defs
+                       if not _reached(d, bare, attrs)
+                       and d.label not in ORACLES)
     assert not unreached, "definitions no stage reaches: " \
         + ", ".join(unreached)
 
 
 def test_oracle_allowlist_is_current():
-    defs, reached = _reachability(())
+    defs, bare, attrs = _reachability(())
+    by_label = {d.label: d for d in defs}
     stale = sorted(
-        name for name, check in ORACLES.items()
-        if name not in defs or name in reached or name not in _referenced(
-            ast.parse((ROOT / check.split("::")[0]).read_text())))
+        label for label, check in ORACLES.items()
+        if label not in by_label or _reached(by_label[label], bare, attrs)
+        or by_label[label].name not in _referenced(_check(check)[1]))
     assert not stale, "allowlisted as oracles but missing, reached by a " \
         "stage or not read by the check named: " + ", ".join(stale)

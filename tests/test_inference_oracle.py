@@ -7,16 +7,19 @@ a dictionary over the whole vocabulary sorted per hypothesis.  The new
 searches must return exactly what they return.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import macroplan.planner as planner_mod
 from macroplan.autodiff import Tape, Tensor
 from macroplan.generator import (BOS, EOS, UNK, GeneratorHyper,
                                  GeneratorModel, _output_dists,
                                  build_gen_vocab, decode_step, encode_plan,
                                  generate)
 from macroplan.nn import ParamStore, lstm_step
-from macroplan.planner import (MAX_PLAN_LEN, BeamHypothesis, MacroPlan,
+from macroplan.planner import (BeamHypothesis, MacroPlan,
                                PlannerHyper, PlannerModel, _forward_reps,
                                _reps_with_eom, build_vocab, greedy_plan,
                                infer_plan, pointer_step)
@@ -34,8 +37,7 @@ def _has_blocked_bigram(prefix, nxt):
 
 
 def oracle_infer_plan(candidate_token_seqs, model, beam_size=5,
-                      unigram_cap=False, max_len=None):
-    max_len = max_len or MAX_PLAN_LEN
+                      unigram_cap=False):
     id_seqs = [model.token_ids(s) for s in candidate_token_seqs]
     tape = Tape()
     store = model.store
@@ -47,7 +49,7 @@ def oracle_infer_plan(candidate_token_seqs, model, beam_size=5,
     h0 = reps_c.data.mean(axis=0)
     beams = [BeamHypothesis((), 0.0, h0, np.zeros_like(h0))]
     finished = []
-    for _step in range(max_len + 1):
+    for _step in range(planner_mod.MAX_PLAN_LEN + 1):
         expansions = []
         for hyp in beams:
             x = store.t("start") if not hyp.pointers \
@@ -83,9 +85,7 @@ def oracle_infer_plan(candidate_token_seqs, model, beam_size=5,
     return MacroPlan((), terminated=False)
 
 
-def oracle_greedy_plan(candidate_token_seqs, model, unigram_cap=False,
-                       max_len=None):
-    max_len = max_len or MAX_PLAN_LEN
+def oracle_greedy_plan(candidate_token_seqs, model, unigram_cap=False):
     id_seqs = [model.token_ids(s) for s in candidate_token_seqs]
     tape = Tape()
     store = model.store
@@ -98,7 +98,7 @@ def oracle_greedy_plan(candidate_token_seqs, model, unigram_cap=False,
     c = tape.zeros(h.data.shape)
     x = store.t("start")
     pointers = ()
-    for _step in range(max_len + 1):
+    for _step in range(planner_mod.MAX_PLAN_LEN + 1):
         h, c = lstm_step(tape, x, h, c, store.t("dec.W"), store.t("dec.b"))
         dist = pointer_step(tape, model, h, all_reps).data.copy()
         for i in range(k):
@@ -133,10 +133,8 @@ def _surface_dist(model, plan_tokens, p_gen, p_copy, alpha, dropped):
     return dist
 
 
-def oracle_generate(plan_tokens, model, beam_size, max_len=None,
-                    dropped=(UNK, BOS, "")):
+def oracle_generate(plan_tokens, model, beam_size, dropped=(UNK, BOS, "")):
     """``dropped``: the surfaces never emitted."""
-    max_len = model.hyper.max_len if max_len is None else max_len
     tape = Tape()
     model.store.bind(tape)
     plan_ids = [model.token_id(t) for t in plan_tokens]
@@ -145,7 +143,7 @@ def oracle_generate(plan_tokens, model, beam_size, max_len=None,
     # (tokens, logprob, h, c, prev)
     beams = [((), 0.0, h0.data, c0.data, BOS)]
     finished = []
-    for _step in range(max_len):
+    for _step in range(model.hyper.max_len):
         expansions = []
         for tokens, logprob, h_prev, c_prev, prev in beams:
             h, c = lstm_step(
@@ -224,53 +222,59 @@ def random_generator(seed, hidden=4):
     return model, plan
 
 
+def capped(model, max_len):
+    """``model`` with its parameters, decoding at most ``max_len`` tokens."""
+    return GeneratorModel(model.store, model.vocab,
+                          replace(model.hyper, max_len=max_len))
+
+
 # ---------------------------------------------------------------------------
 # Planner
 
 
 @pytest.mark.parametrize("beam", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("cap", [False, True])
-def test_infer_plan_matches_oracle(beam, cap):
+def test_infer_plan_matches_oracle(beam, cap, monkeypatch):
     for seed in range(6):
         rng = np.random.default_rng(100 + seed)
         seqs = random_candidates(rng, int(rng.integers(1, 9)))
         model = random_planner(seqs, seed)
         for max_len in (3, 12):
-            got = infer_plan(seqs, model, beam_size=beam, unigram_cap=cap,
-                             max_len=max_len)
+            monkeypatch.setattr(planner_mod, "MAX_PLAN_LEN", max_len)
+            got = infer_plan(seqs, model, beam_size=beam, unigram_cap=cap)
             want = oracle_infer_plan(seqs, model, beam_size=beam,
-                                     unigram_cap=cap, max_len=max_len)
+                                     unigram_cap=cap)
             assert got == want, (seed, max_len)
 
 
 @pytest.mark.parametrize("cap", [False, True])
-def test_greedy_plan_matches_oracle(cap):
+def test_greedy_plan_matches_oracle(cap, monkeypatch):
     for seed in range(10):
         rng = np.random.default_rng(200 + seed)
         seqs = random_candidates(rng, int(rng.integers(1, 9)))
         model = random_planner(seqs, seed)
         for max_len in (2, 12):
-            assert greedy_plan(seqs, model, unigram_cap=cap,
-                               max_len=max_len) == oracle_greedy_plan(
-                seqs, model, unigram_cap=cap, max_len=max_len)
+            monkeypatch.setattr(planner_mod, "MAX_PLAN_LEN", max_len)
+            assert greedy_plan(seqs, model, unigram_cap=cap) == \
+                oracle_greedy_plan(seqs, model, unigram_cap=cap)
 
 
-def test_planner_length_cap_is_covered():
+def test_planner_length_cap_is_covered(monkeypatch):
     # a model whose plans run to the length cap
+    monkeypatch.setattr(planner_mod, "MAX_PLAN_LEN", 3)
     seqs = random_candidates(np.random.default_rng(101), 7)
     model = random_planner(seqs, 4)
     for beam in (1, 3):
-        plan = infer_plan(seqs, model, beam_size=beam, max_len=3)
+        plan = infer_plan(seqs, model, beam_size=beam)
         assert len(plan.pointer_sequence) == 3
-        assert plan == oracle_infer_plan(seqs, model, beam_size=beam,
-                                         max_len=3)
-    plan = greedy_plan(seqs, model, max_len=3)
+        assert plan == oracle_infer_plan(seqs, model, beam_size=beam)
+    plan = greedy_plan(seqs, model)
     assert not plan.terminated
-    assert plan == oracle_greedy_plan(seqs, model, max_len=3)
+    assert plan == oracle_greedy_plan(seqs, model)
 
 
 @pytest.mark.parametrize("beam", [2, 3, 5])
-def test_infer_plan_duplicate_candidates(beam):
+def test_infer_plan_duplicate_candidates(beam, monkeypatch):
     # candidates that encode alike tie exactly at every step, whatever the
     # rounding, and the pointer order breaks the tie
     for seed in range(6):
@@ -280,26 +284,27 @@ def test_infer_plan_duplicate_candidates(beam):
         # wide enough that a stacked matrix product would round the
         # duplicates apart
         model = random_planner(seqs, seed, hidden=32)
+        monkeypatch.setattr(planner_mod, "MAX_PLAN_LEN", 8)
         for cap in (False, True):
-            got = infer_plan(seqs, model, beam_size=beam, unigram_cap=cap,
-                             max_len=8)
+            got = infer_plan(seqs, model, beam_size=beam, unigram_cap=cap)
             assert got == oracle_infer_plan(seqs, model, beam_size=beam,
-                                            unigram_cap=cap, max_len=8)
+                                            unigram_cap=cap)
 
 
 @pytest.mark.parametrize("beam", [1, 2, 3, 5])
 @pytest.mark.parametrize("cap", [False, True])
-def test_infer_plan_forced_ties(beam, cap):
+def test_infer_plan_forced_ties(beam, cap, monkeypatch):
     # W_b = 0 makes every pointer distribution exactly uniform, so every
     # expansion ties and only the (-logprob, pointers) order decides
     seqs = random_candidates(np.random.default_rng(7), 4)
     model = random_planner(seqs, 3)
     model.store["W_b"].data[:] = 0.0
     for max_len in (3, 9):
-        got = infer_plan(seqs, model, beam_size=beam, unigram_cap=cap,
-                         max_len=max_len)
-        assert got == oracle_infer_plan(seqs, model, beam_size=beam,
-                                        unigram_cap=cap, max_len=max_len)
+        with monkeypatch.context() as patch:
+            patch.setattr(planner_mod, "MAX_PLAN_LEN", max_len)
+            got = infer_plan(seqs, model, beam_size=beam, unigram_cap=cap)
+            assert got == oracle_infer_plan(seqs, model, beam_size=beam,
+                                            unigram_cap=cap)
     assert greedy_plan(seqs, model, unigram_cap=cap) == oracle_greedy_plan(
         seqs, model, unigram_cap=cap)
 
@@ -313,8 +318,9 @@ def test_generate_matches_oracle(beam):
     for seed in range(6):
         model, plan = random_generator(seed)
         for max_len in (4, 15):
-            assert generate(plan, model, beam, max_len) == oracle_generate(
-                plan, model, beam, max_len), (seed, max_len)
+            m = capped(model, max_len)
+            assert generate(plan, m, beam) == oracle_generate(
+                plan, m, beam), (seed, max_len)
 
 
 @pytest.mark.parametrize("beam", [1, 2, 3, 5])
@@ -325,18 +331,19 @@ def test_generate_forced_ties(beam):
     for name in ("W_out", "b_out", "W_att", "w_copy"):
         model.store[name].data[...] = 0.0
     for max_len in (3, 8):
-        assert generate(plan, model, beam, max_len) == oracle_generate(
-            plan, model, beam, max_len)
+        m = capped(model, max_len)
+        assert generate(plan, m, beam) == oracle_generate(plan, m, beam)
 
 
 def test_generate_length_cap_is_covered():
     # EOS gets no generation mass: every search runs to the cap
     model, plan = random_generator(4)
     model.store["b_out"].data[model.vocab[EOS]] = -1e3
+    model = capped(model, 6)
     for beam in (1, 3):
-        out = generate(plan, model, beam, 6)
+        out = generate(plan, model, beam)
         assert len(out) == 6
-        assert out == oracle_generate(plan, model, beam, 6)
+        assert out == oracle_generate(plan, model, beam)
 
 
 # ---------------------------------------------------------------------------
@@ -355,4 +362,4 @@ def test_inference_builds_no_tape(monkeypatch):
     monkeypatch.setattr(ParamStore, "bind", refuse)
     assert isinstance(infer_plan(seqs, planner, beam_size=3), MacroPlan)
     assert isinstance(greedy_plan(seqs, planner), MacroPlan)
-    assert isinstance(generate(plan, generator, 3, 10), list)
+    assert isinstance(generate(plan, capped(generator, 10), 3), list)

@@ -238,6 +238,6 @@ def test_instance_loss_matches_per_step_oracle(case, monkeypatch):
         m.setattr(module, "bilstm_encode", oracle_bilstm_encode)
         old_loss, old = run(oracle_fn)
     assert abs(new_loss - old_loss) <= 1e-9 * abs(old_loss)
-    assert new.keys() == old.keys() == set(model.store.names())
+    assert new.keys() == old.keys() == dict(model.store.items()).keys()
     for name in old:
         assert _rel_err(new[name], old[name]) <= 1e-9, name

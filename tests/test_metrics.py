@@ -229,13 +229,13 @@ class TestIntrinsicPlanEval:
 class TestPlanFidelity:
     def test_gold_summary_matches_gold_plan(self, demo_game, aliases):
         from macroplan.oracle import derive_macro_plan
-        _, specs = derive_macro_plan(demo_game, aliases)
+        specs = derive_macro_plan(demo_game, aliases)
         f, co_val = plan_fidelity(demo_game.summary, specs, demo_game, aliases)
         assert f == 100.0 and co_val == 100.0
 
     def test_unrelated_summary_scores_low(self, demo_game, aliases):
         from macroplan.oracle import derive_macro_plan
-        _, specs = derive_macro_plan(demo_game, aliases)
+        specs = derive_macro_plan(demo_game, aliases)
         doc = _doc(["J.Means", "pitched", "."])
         f, co_val = plan_fidelity(doc, specs, demo_game, aliases)
         assert f < 50.0

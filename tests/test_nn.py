@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from macroplan.autodiff import ShapeError, Tape
-from macroplan.nn import (ADAGRAD_EPS, ParamStore, adagrad_step, bilstm_encode,
-                          grad_check, load_params, lstm_step, save_params)
+from macroplan.nn import (ADAGRAD_EPS, GRAD_CLIP, ParamStore, adagrad_step,
+                          bilstm_encode, grad_check, load_params, lstm_step,
+                          save_params)
 
 
 def _store_with(rng, **shapes):
@@ -136,8 +137,8 @@ class TestAdagrad:
         # loss = 0.5 * sum(w^2) has gradient w, norm 50
         tape.backward(tape.scale(tape.sum(
             tape.mul(store.t("w"), store.t("w"))), 0.5))
-        adagrad_step(store, lr=1.0, clip=5.0)
-        g = before * (5.0 / 50.0)
+        adagrad_step(store, lr=1.0)
+        g = before * (GRAD_CLIP / 50.0)
         expected = before - g / (np.sqrt(g * g) + ADAGRAD_EPS)
         assert np.allclose(p.data, expected)
 
@@ -184,7 +185,7 @@ class TestCheckpoints:
         path = tmp_path / "model.mpln"
         save_params(path, store)
         loaded = load_params(path)
-        assert loaded.names() == store.names()
+        assert [n for n, _ in loaded.items()] == [n for n, _ in store.items()]
         for name, p in store.items():
             assert p.data.shape == loaded[name].data.shape
             assert p.data.tobytes() == loaded[name].data.tobytes()
