@@ -146,9 +146,11 @@ def _check(check):
     a file, or the whole file."""
     path, _, name = check.partition("::")
     tree = ast.parse((ROOT / path).read_text())
-    return tree, next((node for node in tree.body
-                       if isinstance(node, ast.FunctionDef)
-                       and node.name == name), tree)
+    if not name:
+        return tree, tree
+    return tree, next(node for node in tree.body
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name == name)
 
 
 def _calls(tree, node):
