@@ -33,14 +33,20 @@ class TestTemplSummary:
             assert prec == 100.0, game.id
 
     def test_top_k_limits(self):
+        # seed 1: in both roles the top players are not the first ones the
+        # game lists, so an unsorted or reversed pick names the wrong set
         game, _ = synth_league(SynthConfig(games=1, batters_per_team=3,
-                                           pitchers_per_team=2, seed=3))[0]
+                                           pitchers_per_team=2, seed=1))[0]
         named = set(templ_summary(game).paragraphs[2])
-        for role, top in (("batter", TOP_BATTERS), ("pitcher", TOP_PITCHERS)):
-            players = {p.name for p in game.players
-                       if p.player_role() == role}
+        for role, rec_types, top in (("batter", ("RBI", "BH"), TOP_BATTERS),
+                                     ("pitcher", ("K",), TOP_PITCHERS)):
+            players = [p for p in game.players if p.player_role() == role]
+            ranked = sorted(players, key=lambda p: tuple(
+                -int(p.attr_map[t]) for t in rec_types) + (p.name,))
+            expected = {p.name for p in ranked[:top]}
             assert len(players) > top
-            assert len(named & players) == top
+            assert expected != {p.name for p in players[:top]}
+            assert named & {p.name for p in players} == expected
 
 
 class TestRealizePlanTemplate:
