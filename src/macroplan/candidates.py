@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .data import Game
-from .verbalize import ParagraphPlanSpec, verbalize_plan
+from .verbalize import ParagraphPlanSpec
 
 __all__ = ["enumerate_candidates", "augment_with_gold"]
 
@@ -16,36 +16,35 @@ def enumerate_candidates(game: Game) -> list[ParagraphPlanSpec]:
     players = [p.name for p in game.players]
 
     specs: list[ParagraphPlanSpec] = []
-    specs.append(ParagraphPlanSpec("entity-singleton", (visiting,)))
-    specs.append(ParagraphPlanSpec("entity-singleton", (home,)))
+    specs.append(ParagraphPlanSpec((visiting,)))
+    specs.append(ParagraphPlanSpec((home,)))
     for p in players:
-        specs.append(ParagraphPlanSpec("entity-singleton", (p,)))
+        specs.append(ParagraphPlanSpec((p,)))
     if game.kind == "event-rich":
         for inning, half in game.halves():
-            specs.append(ParagraphPlanSpec("event-group", (), ((inning, half),)))
+            specs.append(ParagraphPlanSpec(event_refs=((inning, half),)))
 
-    specs.append(ParagraphPlanSpec("entity-pair", (visiting, home)))
+    specs.append(ParagraphPlanSpec((visiting, home)))
     for team in (visiting, home):
         for p in players:
-            specs.append(ParagraphPlanSpec("entity-pair", (team, p)))
+            specs.append(ParagraphPlanSpec((team, p)))
     for p in players:
-        specs.append(ParagraphPlanSpec("entity-pair", (p, visiting, home)))
+        specs.append(ParagraphPlanSpec((p, visiting, home)))
     if game.kind == "event-free":
         for i in range(len(players)):
             for j in range(i + 1, len(players)):
-                specs.append(ParagraphPlanSpec("entity-pair",
-                                               (players[i], players[j])))
-    return [verbalize_plan(s, game) for s in specs]
+                specs.append(ParagraphPlanSpec((players[i], players[j])))
+    return specs
 
 
 def augment_with_gold(candidates: list[ParagraphPlanSpec],
                       gold: list[ParagraphPlanSpec]) -> list[ParagraphPlanSpec]:
     """Training-time candidate set: candidates plus any gold spec not already
-    present (equality on kind, entity refs, event refs)."""
-    present = {c.identity() for c in candidates}
+    present (equal entity and event refs)."""
+    present = set(candidates)
     out = list(candidates)
     for g in gold:
-        if g.identity() not in present:
-            present.add(g.identity())
+        if g not in present:
+            present.add(g)
             out.append(g)
     return out

@@ -12,10 +12,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import re
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,13 +29,12 @@ from .metrics import (DEFAULT_EXTRACTION_LEXICON, ExtractionLexicon,
                       evaluate_summaries, intrinsic_plan_eval,
                       plan_fidelity, plan_identifiers)
 from .nn import load_params, save_params
-from .oracle import (DEFAULT_INNING_LEXICON, InningLexicon, _classify_spec,
-                     derive_macro_plan)
+from .oracle import DEFAULT_INNING_LEXICON, InningLexicon, derive_macro_plan
 from .planner import (MacroPlan, PlannerHyper, PlannerModel, infer_plan,
                       linearize, train_planner)
 from .synth import SynthConfig, synth_league
-from .verbalize import PARAGRAPH_SEP, ParagraphPlanSpec, render_spec, \
-    verbalize_plan
+from .verbalize import (PARAGRAPH_SEP, ParagraphPlanSpec, parse_spec,
+                        render_spec, verbalize_plan)
 
 __all__ = ["RunConfig", "STAGES", "main", "run",
            "format_plan_line", "parse_plan_line"]
@@ -125,9 +123,6 @@ class RunConfig:
 #   game_id <TAB> V(...) <P> V(...) ... <TAB> # i1 i2 ...
 
 
-_EVENT_REF = re.compile(r"^\d+-[TB]$")
-
-
 def format_plan_line(game_id: str, plan: MacroPlan,
                      specs: list[ParagraphPlanSpec]) -> str:
     rendering = f" {PARAGRAPH_SEP} ".join(
@@ -137,7 +132,7 @@ def format_plan_line(game_id: str, plan: MacroPlan,
 
 
 def parse_plan_line(line: str):
-    """Returns (game_id, [(entity_refs, event_refs), ...], pointer list)."""
+    """Returns (game_id, [ParagraphPlanSpec, ...], pointer list)."""
     fields = line.rstrip("\n").split("\t")
     if len(fields) != 3:
         raise ValueError(f"expected 3 tab-separated fields, found "
@@ -147,81 +142,72 @@ def parse_plan_line(line: str):
         pointers = [int(x) for x in comment.lstrip("# ").split()]
     except ValueError:
         raise ValueError(f"pointers {comment!r} are not integers") from None
-    paragraphs = []
-    for part in rendering.split(PARAGRAPH_SEP):
-        entity_refs: list[str] = []
-        event_refs: list[tuple[int, str]] = []
-        for inner in re.findall(r"V\(([^)]*)\)", part):
-            items = [x.strip() for x in inner.split(",")]
-            if all(_EVENT_REF.match(x) for x in items):
-                for x in items:
-                    inning, half = x.split("-")
-                    event_refs.append((int(inning), half))
-            else:
-                entity_refs.append(inner)
-        paragraphs.append((tuple(entity_refs), tuple(event_refs)))
-    return game_id, paragraphs, pointers
+    specs = [parse_spec(part) for part in rendering.split(PARAGRAPH_SEP)] \
+        if rendering else []
+    return game_id, specs, pointers
 
 
-def _spec_from_refs(entity_refs, event_refs, game: Game) -> ParagraphPlanSpec:
-    spec = _classify_spec(entity_refs, event_refs)
-    if spec is None:
-        raise ValueError("plan paragraph references nothing")
-    return verbalize_plan(spec, game)
-
-
-def _game(path, by_id: dict[str, Game], game_id) -> Game:
-    """The game a line of ``path`` names; it must be one of ``by_id``."""
-    if game_id not in by_id:
-        raise ValueError(f"{path}: line for unknown game {game_id!r}")
-    return by_id[game_id]
-
-
-def _check_every_game(path, games: list[Game], found) -> None:
-    for game in games:
-        if game.id not in found:
-            raise ValueError(f"{path}: no line for game {game.id!r}")
-
-
-def read_plan_file(path, games: list[Game]):
-    """game id -> list of verbalized ParagraphPlanSpec, in plan order, for
-    exactly the games of ``games``."""
+def _read_per_game(path, games: list[Game], parse, build) -> dict:
+    """game id -> ``build(raw, game)`` for each non-blank line of ``path``,
+    where ``parse(line)`` gives the line's (game id, raw).  The lines must
+    name each game of ``games`` once; a failure is a ValueError that names
+    ``path`` and, for a line, its number."""
     by_id = {g.id: g for g in games}
-    plans: dict[str, list[ParagraphPlanSpec]] = {}
+    found = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                game_id, paragraphs, _ = parse_plan_line(line)
+                game_id, raw = parse(line)
+                if game_id not in by_id:
+                    raise ValueError(f"line for unknown game {game_id!r}")
+                if game_id in found:
+                    raise ValueError(f"second line for game {game_id!r}")
+                found[game_id] = build(raw, by_id[game_id])
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            game = _game(path, by_id, game_id)
-            plans[game_id] = [_spec_from_refs(e, v, game)
-                              for e, v in paragraphs]
-    _check_every_game(path, games, plans)
-    return plans
+    for game in games:
+        if game.id not in found:
+            raise ValueError(f"{path}: no line for game {game.id!r}")
+    return found
+
+
+def _checked_plan(specs: list[ParagraphPlanSpec], game: Game):
+    """``specs``, once each verbalizes against ``game``."""
+    if not specs:
+        raise ValueError("plan has no paragraphs")
+    for spec in specs:
+        verbalize_plan(spec, game)
+    return specs
+
+
+def read_plan_file(path, games: list[Game]):
+    """game id -> list of ParagraphPlanSpec, in plan order, for exactly the
+    games of ``games``."""
+    return _read_per_game(path, games, lambda line: parse_plan_line(line)[:2],
+                          _checked_plan)
+
+
+def _summary_line(line: str):
+    try:
+        obj = json.loads(line)
+    except ValueError:
+        obj = None
+    if not isinstance(obj, dict):
+        raise ValueError("not a JSON object")
+    return obj.get("id"), obj
+
+
+def _summary_doc(obj: dict, game: Game) -> SummaryDoc:
+    if "paragraphs" not in obj:
+        raise ValueError(f"no paragraphs for game {game.id!r}")
+    return SummaryDoc.from_lists(obj["paragraphs"])
 
 
 def _read_summaries(path, games: list[Game]) -> dict[str, SummaryDoc]:
     """game id -> generated summary, for exactly the games of ``games``."""
-    by_id = {g.id: g for g in games}
-    docs: dict[str, SummaryDoc] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            try:
-                obj = json.loads(line)
-            except ValueError:
-                obj = None
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}: line {lineno}: not a JSON object")
-            game_id = _game(path, by_id, obj.get("id")).id
-            if "paragraphs" not in obj:
-                raise ValueError(f"{path}: no paragraphs for game "
-                                 f"{game_id!r}")
-            docs[game_id] = SummaryDoc.from_lists(obj["paragraphs"])
-    _check_every_game(path, games, docs)
-    return docs
+    return _read_per_game(path, games, _summary_line, _summary_doc)
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +343,9 @@ def _planner_dataset(cfg: RunConfig, out: Path):
     dataset = []
     for game in train_games:
         cands = augment_with_gold(enumerate_candidates(game), plans[game.id])
-        pointers = []
-        index = {c.identity(): i for i, c in enumerate(cands)}
-        for spec in plans[game.id]:
-            if spec.identity() not in index:
-                raise ValueError(
-                    f"game {game.id}: gold paragraph plan unresolvable in "
-                    f"augmented candidate set")
-            pointers.append(index[spec.identity()])
-        dataset.append(([list(c.tokens) for c in cands], pointers))
+        index = {c: i for i, c in enumerate(cands)}
+        dataset.append(([verbalize_plan(c, game) for c in cands],
+                        [index[spec] for spec in plans[game.id]]))
     return dataset
 
 
@@ -382,7 +362,7 @@ def stage_plan(cfg: RunConfig, out: Path) -> None:
     lines = []
     for game in games:
         cands = enumerate_candidates(game)
-        seqs = [list(c.tokens) for c in cands]
+        seqs = [verbalize_plan(c, game) for c in cands]
         plan = infer_plan(seqs, model, beam_size=cfg.beam,
                           unigram_cap=game.kind == "event-rich")
         lines.append(format_plan_line(game.id, plan, cands))
@@ -407,7 +387,7 @@ def _generator_pairs(games: list[Game], plans, merges: int):
     bpe_model = bpe_mod.learn_bpe(summaries, merges, protected=protected)
     pairs = []
     for game, tokens in zip(games, summaries):
-        pairs.append((linearize(plans[game.id]),
+        pairs.append((linearize(plans[game.id], game),
                       bpe_mod.encode(bpe_model, tokens)))
     return pairs, bpe_model
 
@@ -444,7 +424,7 @@ def stage_generate(cfg: RunConfig, out: Path) -> None:
 
     results = []
     for game in games:
-        tokens = generate(linearize(plans[game.id]), model,
+        tokens = generate(linearize(plans[game.id], game), model,
                           beam_size=cfg.beam)
         results.append((game.id, _summary_from_tokens(bpe_model, tokens)))
 
@@ -479,7 +459,7 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> None:
     report = evaluate_summaries([docs[g.id] for g in games], games,
                                 lexicon=lexicon, aliases=aliases,
                                 plan_scores=(fid_cs, fid_co))
-    payload = json.loads(report.to_json())
+    payload = asdict(report)
     p, r, f, co_val = intrinsic_plan_eval(
         [plan_identifiers(plans[g.id]) for g in games],
         [plan_identifiers(gold_plans[g.id]) for g in games])

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from .data import AliasTable, Game, SummaryDoc, numeric_value, split_sentences
 from .oracle import (DEFAULT_INNING_LEXICON, InningLexicon, derive_macro_plan,
@@ -297,15 +297,11 @@ def plan_fidelity(summary: SummaryDoc, plan_specs: list[ParagraphPlanSpec],
     """Reverse-engineer a plan from ``summary`` and compare it to
     ``plan_specs``; returns (CS-F, CO)."""
     aliases = aliases or AliasTable()
-    reverse_game = _with_summary(game, summary)
-    derived = derive_macro_plan(reverse_game, aliases, lexicon)
+    derived = derive_macro_plan(replace(game, summary=summary), aliases,
+                                lexicon)
     _, _, f, co_val = intrinsic_plan_eval(
         [plan_identifiers(derived)], [plan_identifiers(plan_specs)])
     return f, co_val
-
-
-def _with_summary(game: Game, summary: SummaryDoc) -> Game:
-    return replace(game, summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +326,6 @@ class MetricsReport:
             val = getattr(self, name)
             if val is not None and not (0.0 <= val <= 100.0):
                 raise ValueError(f"{name} out of [0, 100]: {val}")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def evaluate_summaries(pred: list[SummaryDoc], games: list[Game],

@@ -11,7 +11,7 @@ import logging
 from dataclasses import dataclass
 
 from .data import AliasTable, Game, numeric_value, tokenize
-from .verbalize import ParagraphPlanSpec, verbalize_plan
+from .verbalize import ParagraphPlanSpec
 
 log = logging.getLogger(__name__)
 
@@ -266,24 +266,9 @@ def derive_macro_plan(game: Game, aliases: AliasTable,
                 covered.update(ev.participants())
         entity_refs = tuple(m.entity for m in mentions if m.entity not in covered)
 
-        spec = _classify_spec(entity_refs, tuple(event_refs))
-        if spec is None:
+        if not entity_refs and not event_refs:
             log.warning("game %s: paragraph %d matches no entity or event; dropped",
                         game.id, p_idx)
             continue
-        specs.append(verbalize_plan(spec, game))
+        specs.append(ParagraphPlanSpec(entity_refs, tuple(event_refs)))
     return specs
-
-
-def _classify_spec(entity_refs, event_refs) -> ParagraphPlanSpec | None:
-    if event_refs and entity_refs:
-        return ParagraphPlanSpec("mixed-gold", entity_refs, event_refs)
-    if event_refs:
-        return ParagraphPlanSpec("event-group", (), event_refs)
-    if len(entity_refs) == 1:
-        return ParagraphPlanSpec("entity-singleton", entity_refs)
-    if 2 <= len(entity_refs) <= 3:
-        return ParagraphPlanSpec("entity-pair", entity_refs)
-    if len(entity_refs) >= 4:
-        return ParagraphPlanSpec("mixed-gold", entity_refs)
-    return None

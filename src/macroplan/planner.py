@@ -9,8 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import NO_GRAD, NoGrad, Tape, Tensor
+from .data import Game
 from .nn import ParamStore, bilstm_encode, fit, lstm_sequence, lstm_step
-from .verbalize import PARAGRAPH_SEP, ParagraphPlanSpec
+from .verbalize import PARAGRAPH_SEP, ParagraphPlanSpec, verbalize_plan
 
 log = logging.getLogger(__name__)
 
@@ -364,12 +365,12 @@ def greedy_plan(candidate_token_seqs, model: PlannerModel,
     return MacroPlan(hyp.pointers, terminated=False)
 
 
-def linearize(specs: list[ParagraphPlanSpec]) -> list[str]:
-    """Concatenate verbalized paragraph plans in order with ``<P>`` between
-    consecutive plans."""
+def linearize(specs: list[ParagraphPlanSpec], game: Game) -> list[str]:
+    """Concatenate the paragraph plans, verbalized against ``game``, in
+    order with ``<P>`` between consecutive plans."""
     tokens: list[str] = []
     for pos, spec in enumerate(specs):
         if pos > 0:
             tokens.append(PARAGRAPH_SEP)
-        tokens.extend(spec.tokens)
+        tokens.extend(verbalize_plan(spec, game))
     return tokens

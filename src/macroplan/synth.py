@@ -10,7 +10,7 @@ import numpy as np
 from .baselines import realize_plan_template
 from .data import (EntityRecord, Game, GameValidationError, PlayEvent,
                    SummaryDoc)
-from .verbalize import ParagraphPlanSpec, verbalize_plan
+from .verbalize import ParagraphPlanSpec
 
 __all__ = ["SynthConfig", "synth_league", "gold_plan_specs",
            "check_consistency"]
@@ -225,7 +225,7 @@ def gold_plan_specs(game: Game, cfg: SynthConfig,
     adjacent half-innings from different innings share one paragraph, which
     puts the gold plan outside the enumerated candidate set."""
     v, h = game.visiting_team, game.home_team
-    specs = [ParagraphPlanSpec("entity-pair", (v.name, h.name))]
+    specs = [ParagraphPlanSpec((v.name, h.name))]
 
     def rbi(p):
         return int(p.attr_map.get("RBI", "0"))
@@ -236,7 +236,7 @@ def gold_plan_specs(game: Game, cfg: SynthConfig,
                         and p.player_role() == "batter"
                         and rbi(p) >= RBI_HIGHLIGHT_THRESHOLD]
         for p in sorted(side_batters, key=lambda p: (-rbi(p), p.name)):
-            specs.append(ParagraphPlanSpec("entity-singleton", (p.name,)))
+            specs.append(ParagraphPlanSpec((p.name,)))
 
     halves = game.halves()
     i = 0
@@ -250,15 +250,15 @@ def gold_plan_specs(game: Game, cfg: SynthConfig,
                  and rng.random() < cfg.merge_probability)
         if merge:
             specs.append(ParagraphPlanSpec(
-                "event-group", (), (halves[i], halves[i + 1])))
+                event_refs=(halves[i], halves[i + 1])))
             i += 2
         else:
-            specs.append(ParagraphPlanSpec("event-group", (), (halves[i],)))
+            specs.append(ParagraphPlanSpec(event_refs=(halves[i],)))
             i += 1
 
     winner = h if int(h.attr_map["TR"]) > int(v.attr_map["TR"]) else v
-    specs.append(ParagraphPlanSpec("entity-singleton", (winner.name,)))
-    return [verbalize_plan(s, game) for s in specs]
+    specs.append(ParagraphPlanSpec((winner.name,)))
+    return specs
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Verbalization of entities, plays and half-inning events into paragraph-plan
-token sequences.
+token sequences, and the ``V(...)`` shorthand plan files write paragraph plans
+in.
 
 Record fields render as marker-fused tokens (``<TR>9``); markers, ``<P>`` and
 ``EOM`` are structural tokens that tokenization and BPE never split.
@@ -7,7 +8,8 @@ Record fields render as marker-fused tokens (``<TR>9``); markers, ``<P>`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import re
+from dataclasses import dataclass
 
 from .data import EntityRecord, Game, PlayEvent
 
@@ -22,6 +24,7 @@ __all__ = [
     "strip_marker",
     "is_marker_token",
     "render_spec",
+    "parse_spec",
 ]
 
 PARAGRAPH_SEP = "<P>"
@@ -30,35 +33,15 @@ EOM_TOKEN = "EOM"
 
 @dataclass(frozen=True)
 class ParagraphPlanSpec:
-    """A symbolic plan for one output paragraph.
+    """A symbolic plan for one output paragraph: the entities and the
+    half-innings it covers."""
 
-    ``kind`` is one of entity-singleton, entity-pair, event-group, mixed-gold.
-    ``tokens`` is empty until :func:`verbalize_plan` fills it.
-    """
-
-    kind: str
     entity_refs: tuple[str, ...] = ()
     event_refs: tuple[tuple[int, str], ...] = ()
-    tokens: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.kind == "entity-singleton":
-            ok = len(self.entity_refs) == 1 and not self.event_refs
-        elif self.kind == "entity-pair":
-            ok = 2 <= len(self.entity_refs) <= 3 and not self.event_refs
-        elif self.kind == "event-group":
-            ok = len(self.event_refs) >= 1
-        elif self.kind == "mixed-gold":
-            ok = bool(self.entity_refs) or bool(self.event_refs)
-        else:
-            ok = False
-        if not ok:
-            raise ValueError(f"invalid plan spec: kind={self.kind!r} "
-                             f"entities={self.entity_refs} events={self.event_refs}")
-
-    def identity(self) -> tuple:
-        """Equality key used for gold augmentation (tokens excluded)."""
-        return (self.kind, self.entity_refs, self.event_refs)
+        if not self.entity_refs and not self.event_refs:
+            raise ValueError("plan paragraph references nothing")
 
     def identifiers(self) -> list[str]:
         """Entity/event identifiers for intrinsic plan evaluation."""
@@ -140,9 +123,9 @@ def verbalize_event_group(halves, game: Game) -> list[str]:
     return tokens
 
 
-def verbalize_plan(spec: ParagraphPlanSpec, game: Game) -> ParagraphPlanSpec:
-    """Fill ``spec.tokens``: entities in spec order (first mention only),
-    then event groups."""
+def verbalize_plan(spec: ParagraphPlanSpec, game: Game) -> tuple[str, ...]:
+    """The tokens of ``spec`` against ``game``: entities in spec order (first
+    mention only), then event groups."""
     tokens: list[str] = []
     seen: set[str] = set()
     for name in spec.entity_refs:
@@ -156,9 +139,7 @@ def verbalize_plan(spec: ParagraphPlanSpec, game: Game) -> ParagraphPlanSpec:
         tokens.extend(verbalize_entity(rec))
     if spec.event_refs:
         tokens.extend(verbalize_event_group(spec.event_refs, game))
-    if not tokens:
-        raise ValueError("plan spec verbalizes to an empty sequence")
-    return replace(spec, tokens=tuple(tokens))
+    return tuple(tokens)
 
 
 def render_spec(spec: ParagraphPlanSpec) -> str:
@@ -168,3 +149,21 @@ def render_spec(spec: ParagraphPlanSpec) -> str:
         inner = ", ".join(f"{i}-{h}" for i, h in spec.event_refs)
         parts.append(f"V({inner})")
     return " ".join(parts)
+
+
+_GROUP = re.compile(r"V\(([^)]*)\)")
+_EVENT_REF = re.compile(r"^(\d+)-([TB])$")
+
+
+def parse_spec(text: str) -> ParagraphPlanSpec:
+    """The inverse of :func:`render_spec`: a group of half-innings only is
+    an event group, any other group an entity name."""
+    entity_refs: list[str] = []
+    event_refs: list[tuple[int, str]] = []
+    for inner in _GROUP.findall(text):
+        matches = [_EVENT_REF.match(x.strip()) for x in inner.split(",")]
+        if all(matches):
+            event_refs.extend((int(m.group(1)), m.group(2)) for m in matches)
+        else:
+            entity_refs.append(inner)
+    return ParagraphPlanSpec(tuple(entity_refs), tuple(event_refs))

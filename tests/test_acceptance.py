@@ -31,7 +31,7 @@ from macroplan.planner import (BeamHypothesis, PlannerHyper,
                                train_planner)
 from macroplan.planner import instance_loss as planner_loss
 from macroplan.synth import SynthConfig, synth_league
-from macroplan.verbalize import PARAGRAPH_SEP
+from macroplan.verbalize import PARAGRAPH_SEP, verbalize_plan
 
 
 def _report(capsys, label: str, ok: bool, detail: str = "") -> None:
@@ -254,9 +254,9 @@ def test_ac3_overfit_recovery(capsys):
     reproduces the training plan / summary exactly."""
     game, gold = synth_league(SynthConfig(games=1, innings=2, seed=7))[0]
     cands = augment_with_gold(enumerate_candidates(game), gold)
-    index = {c.identity(): i for i, c in enumerate(cands)}
-    pointers = [index[s.identity()] for s in gold]
-    seqs = [list(c.tokens) for c in cands]
+    index = {c: i for i, c in enumerate(cands)}
+    pointers = [index[s] for s in gold]
+    seqs = [list(verbalize_plan(c, game)) for c in cands]
     model, trace = train_planner([(seqs, pointers)], PlannerHyper(
         emb_dim=16, hidden=12, lr=0.1, epochs=200, seed=13, stop_tol=0.01))
     plan = greedy_plan(seqs, model)
@@ -264,7 +264,7 @@ def test_ac3_overfit_recovery(capsys):
                   and list(plan.pointer_sequence) == pointers
                   and plan.terminated)
 
-    plan_tokens = linearize(gold)
+    plan_tokens = linearize(gold, game)
     target = _paragraph_tokens(game.summary)
     gmodel, gtrace = train_generator([(plan_tokens, target)], GeneratorHyper(
         emb_dim=48, hidden=48, lr=0.05, epochs=300, seed=29, stop_tol=0.002,
@@ -285,16 +285,16 @@ def test_ac4_synthetic_planning_quality(capsys):
     dataset = []
     for game, gold in train:
         cands = augment_with_gold(enumerate_candidates(game), gold)
-        index = {c.identity(): i for i, c in enumerate(cands)}
-        dataset.append(([list(c.tokens) for c in cands],
-                        [index[s.identity()] for s in gold]))
+        index = {c: i for i, c in enumerate(cands)}
+        dataset.append(([list(verbalize_plan(c, game)) for c in cands],
+                        [index[s] for s in gold]))
     model, _ = train_planner(dataset, PlannerHyper(epochs=3, lr=0.02,
                                                    seed=13))
     pred_ids, gold_ids = [], []
     for game, gold in held:
         cands = enumerate_candidates(game)
-        plan = infer_plan([list(c.tokens) for c in cands], model,
-                          beam_size=5, unigram_cap=True)
+        plan = infer_plan([list(verbalize_plan(c, game)) for c in cands],
+                          model, beam_size=5, unigram_cap=True)
         pred_ids.append([i for j in plan.pointer_sequence
                          for i in cands[j].identifiers()])
         gold_ids.append(plan_identifiers(gold))
@@ -311,7 +311,7 @@ def test_ac5_plan_following(capsys):
     pairs = synth_league(SynthConfig(games=30, innings=2, seed=17))
     data = []
     for game, specs in pairs:
-        plan_tokens = linearize(specs)
+        plan_tokens = linearize(specs, game)
         data.append((game, specs, plan_tokens,
                      _paragraph_tokens(game.summary)))
     model, _ = train_generator([(p, t) for _, _, p, t in data],

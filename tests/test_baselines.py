@@ -60,8 +60,8 @@ class TestRealizePlanTemplate:
             [s.identifiers() for s in gold]
 
     def test_paragraph_per_spec(self, demo_game):
-        specs = [ParagraphPlanSpec("entity-singleton", ("Royals",)),
-                 ParagraphPlanSpec("event-group", (), ((1, "T"),))]
+        specs = [ParagraphPlanSpec(("Royals",)),
+                 ParagraphPlanSpec(event_refs=((1, "T"),))]
         doc = realize_plan_template(specs, demo_game)
         assert len(doc.paragraphs) == 2
 
@@ -70,7 +70,7 @@ class TestRealizePlanTemplate:
             realize_plan_template([], demo_game)
 
     def test_mention_sentence_for_pairs(self, demo_game):
-        specs = [ParagraphPlanSpec("entity-pair", ("Royals", "Orioles"))]
+        specs = [ParagraphPlanSpec(("Royals", "Orioles"))]
         doc = realize_plan_template(specs, demo_game)
         para = doc.paragraphs[0]
         assert para[0] == "Royals" and "and" in para and "Orioles" in para

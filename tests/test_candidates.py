@@ -6,11 +6,8 @@ from macroplan.candidates import augment_with_gold, enumerate_candidates
 from macroplan.data import AliasTable
 from macroplan.oracle import derive_macro_plan
 from macroplan.synth import SynthConfig, synth_league
-from macroplan.verbalize import ParagraphPlanSpec, is_marker_token
-
-
-def _kinds(cands):
-    return [c.kind for c in cands]
+from macroplan.verbalize import (ParagraphPlanSpec, is_marker_token,
+                                 parse_spec, render_spec, verbalize_plan)
 
 
 class TestEnumerate:
@@ -21,18 +18,18 @@ class TestEnumerate:
         assert len(cands) == 31
 
     def test_all_verbalized(self, demo_game):
-        assert all(c.tokens for c in enumerate_candidates(demo_game))
+        assert all(verbalize_plan(c, demo_game)
+                   for c in enumerate_candidates(demo_game))
 
     def test_singletons_precede_combinations(self, demo_game):
-        kinds = _kinds(enumerate_candidates(demo_game))
-        last_single = max(i for i, k in enumerate(kinds)
-                          if k in ("entity-singleton", "event-group"))
-        first_combo = min(i for i, k in enumerate(kinds) if k == "entity-pair")
+        sizes = [len(c.entity_refs) for c in enumerate_candidates(demo_game)]
+        last_single = max(i for i, n in enumerate(sizes) if n <= 1)
+        first_combo = min(i for i, n in enumerate(sizes) if n >= 2)
         assert last_single < first_combo
 
     def test_event_groups_follow_halves_order(self, demo_game):
         groups = [c.event_refs for c in enumerate_candidates(demo_game)
-                  if c.kind == "event-group"]
+                  if c.event_refs]
         assert groups == [((1, "T"),), ((1, "B"),), ((2, "T"),), ((4, "B"),)]
 
     def test_player_pairs_only_for_event_free(self, demo_game):
@@ -41,8 +38,7 @@ class TestEnumerate:
                                             events=()))
 
         def pairs(cands):
-            return [c for c in cands if c.kind == "entity-pair"
-                    and len(c.entity_refs) == 2
+            return [c for c in cands if len(c.entity_refs) == 2
                     and not any(r in ("Royals", "Orioles")
                                 for r in c.entity_refs)]
         assert not pairs(rich)
@@ -51,21 +47,21 @@ class TestEnumerate:
     def test_deterministic(self, demo_game):
         a = enumerate_candidates(demo_game)
         b = enumerate_candidates(demo_game)
-        assert [c.identity() for c in a] == [c.identity() for c in b]
+        assert a == b
 
 
 class TestAugment:
     def test_novel_gold_appended(self, demo_game):
         cands = enumerate_candidates(demo_game)
-        gold = [ParagraphPlanSpec("event-group", (),
-                                  ((1, "T"), (1, "B")))]  # merged, not enumerated
+        gold = [ParagraphPlanSpec(
+            event_refs=((1, "T"), (1, "B")))]  # merged, not enumerated
         out = augment_with_gold(cands, gold)
         assert len(out) == len(cands) + 1
-        assert out[-1].identity() == gold[0].identity()
+        assert out[-1] == gold[0]
 
     def test_present_gold_not_duplicated(self, demo_game):
         cands = enumerate_candidates(demo_game)
-        gold = [ParagraphPlanSpec("entity-singleton", ("C.Mullins",))]
+        gold = [ParagraphPlanSpec(("C.Mullins",))]
         out = augment_with_gold(cands, gold)
         assert len(out) == len(cands)
 
@@ -73,7 +69,7 @@ class TestAugment:
         cands = enumerate_candidates(demo_game)
         n = len(cands)
         augment_with_gold(cands, [ParagraphPlanSpec(
-            "event-group", (), ((1, "T"), (2, "T")))])
+            event_refs=((1, "T"), (2, "T")))])
         assert len(cands) == n
 
 
@@ -90,6 +86,26 @@ class TestMarkerTokens:
         for game, _ in league:
             gold = derive_macro_plan(game, AliasTable())
             for spec in enumerate_candidates(game) + gold:
-                assert spec.tokens
-                assert all(is_marker_token(t) for t in spec.tokens), \
-                    spec.tokens
+                tokens = verbalize_plan(spec, game)
+                assert tokens
+                assert all(is_marker_token(t) for t in tokens), tokens
+
+
+class TestSpecRoundTrip:
+    """A paragraph plan is its references: rendering and parsing it back
+    gives the same spec, and gold augmentation compares specs by them."""
+
+    @given(seed=st.integers(0, 2**16), kind=st.sampled_from(
+        ["event-rich", "event-free"]))
+    @settings(max_examples=10, deadline=None)
+    def test_render_parse_and_augment(self, seed, kind):
+        league = synth_league(SynthConfig(games=2, innings=3, seed=seed,
+                                          kind=kind))
+        for game, gold in league:
+            cands = enumerate_candidates(game)
+            derived = derive_macro_plan(game, AliasTable())
+            for spec in gold + cands + derived:
+                assert parse_spec(render_spec(spec)) == spec, spec
+            novel = [g for i, g in enumerate(gold)
+                     if g not in cands and g not in gold[:i]]
+            assert augment_with_gold(cands, gold) == cands + novel

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -14,6 +15,7 @@ from macroplan.cli import (STAGES, RunConfig, StageError, format_plan_line,
                            main, parse_plan_line, read_plan_file, run)
 from macroplan.oracle import derive_macro_plan
 from macroplan.planner import MacroPlan
+from macroplan.verbalize import ParagraphPlanSpec
 
 SMALL = RunConfig(games=6, innings=2, holdout=2,
                   planner_epochs=1, planner_emb=8, planner_hidden=6,
@@ -88,10 +90,7 @@ class TestPlanLineFormat:
         game_id, paragraphs, pointers = parse_plan_line(line)
         assert game_id == demo_game.id
         assert pointers == list(plan.pointer_sequence)
-        assert len(paragraphs) == len(specs)
-        for (ents, evs), spec in zip(paragraphs, specs):
-            assert ents == spec.entity_refs
-            assert evs == spec.event_refs
+        assert paragraphs == specs
 
     def test_read_plan_file(self, demo_game, aliases, tmp_path):
         specs = derive_macro_plan(demo_game, aliases)
@@ -102,7 +101,7 @@ class TestPlanLineFormat:
         loaded = plans[demo_game.id]
         assert [s.identifiers() for s in loaded] == \
             [s.identifiers() for s in specs]
-        assert all(s.tokens for s in loaded)  # re-verbalized against the game
+        assert loaded == specs
 
     def test_empty_plan_line(self):
         game_id, paragraphs, pointers = parse_plan_line("g1\t\t# ")
@@ -110,11 +109,11 @@ class TestPlanLineFormat:
 
     def test_event_ref_parsing(self):
         _, paragraphs, _ = parse_plan_line("g\tV(4-B, 5-B)\t# 0")
-        assert paragraphs == [((), ((4, "B"), (5, "B")))]
+        assert paragraphs == [ParagraphPlanSpec((), ((4, "B"), (5, "B")))]
 
     def test_entity_with_digits_not_event_ref(self):
         _, paragraphs, _ = parse_plan_line("g\tV(Team-9)\t# 0")
-        assert paragraphs == [(("Team-9",), ())]
+        assert paragraphs == [ParagraphPlanSpec(("Team-9",), ())]
 
 
 class TestStageOrdering:
@@ -227,6 +226,11 @@ def _edit_lines(path: Path, edit) -> None:
                             edit(path.read_text().splitlines())))
 
 
+def _with_rendering(line, rendering):
+    game_id, _, pointers = line.split("\t")
+    return f"{game_id}\t{rendering}\t{pointers}"
+
+
 def _drop_line_key(lines, key):
     obj = json.loads(lines[0])
     del obj[key]
@@ -234,14 +238,14 @@ def _drop_line_key(lines, key):
 
 
 class TestArtifactsMatchGames:
-    """A plan or summary file that does not hold one line for each game of
-    ``games.jsonl`` fails its reader with one ``error:`` line naming the
-    file and the game, or the line where no game can be read from it."""
+    """A plan or summary file that does not hold one good line for each
+    game of ``games.jsonl`` fails its reader with one ``error:`` line
+    naming the file and the bad line, or the game that has no line."""
 
     @pytest.mark.parametrize("stage, name, edit, message", [
         ("generate", "plans_pred.txt",
          lambda lines: lines + ["bogus-game" + lines[0][lines[0].index("\t"):]],
-         "line for unknown game 'bogus-game'"),
+         "line 7: line for unknown game 'bogus-game'"),
         ("generate", "plans_pred.txt", lambda lines: lines[:-1],
          "no line for game '{last}'"),
         ("generate", "plans_pred.txt",
@@ -253,7 +257,7 @@ class TestArtifactsMatchGames:
          "line 2: pointers '# 0 x' are not integers"),
         ("evaluate", "summaries.jsonl",
          lambda lines: _drop_line_key(lines, "paragraphs"),
-         "no paragraphs for game '{first}'"),
+         "line 1: no paragraphs for game '{first}'"),
         ("evaluate", "summaries.jsonl", lambda lines: lines[:-1],
          "no line for game '{last}'"),
         ("evaluate", "summaries.jsonl", lambda lines: lines[:1] + ["[]"],
@@ -261,20 +265,38 @@ class TestArtifactsMatchGames:
         ("evaluate", "summaries.jsonl",
          lambda lines: lines[:1] + [lines[1][:len(lines[1]) // 2]],
          "line 2: not a JSON object"),
+        ("generate", "plans_pred.txt", lambda lines: lines + lines[:1],
+         "line 7: second line for game '{first}'"),
+        ("evaluate", "summaries.jsonl", lambda lines: lines + lines[:1],
+         "line 7: second line for game '{first}'"),
+        ("generate", "plans_pred.txt",
+         lambda lines: [_with_rendering(lines[0], "V()")] + lines[1:],
+         "line 1: plan references unknown entity ''"),
+        ("generate", "plans_pred.txt",
+         lambda lines: [_with_rendering(lines[0], lines[1].split("\t")[1])]
+         + lines[1:],
+         "line 1: plan references unknown entity '{foreign}'"),
     ], ids=["plan-unknown-game", "plan-missing-game", "plan-missing-tab",
             "plan-pointer-not-an-integer", "summary-without-paragraphs",
             "summary-missing-game", "summary-not-an-object",
-            "summary-cut-mid-line"])
+            "summary-cut-mid-line", "plan-duplicate-game",
+            "summary-duplicate-game", "plan-unknown-entity",
+            "plan-foreign-rendering"])
     def test_mismatch_is_one_error_line(self, generated, tmp_path, capsys,
                                         stage, name, edit, message):
         out = tmp_path / "out"
         shutil.copytree(generated, out)
         ids = [json.loads(line)["id"] for line in
                (out / "games.jsonl").read_text().splitlines()]
+        # the entity the second game's plan names first, which the first
+        # game of this league lacks
+        foreign = re.search(r"V\(([^)]*)\)",
+                            (out / "plans_pred.txt").read_text()
+                            .splitlines()[1]).group(1)
         _edit_lines(out / name, edit)
         capsys.readouterr()
         assert run(stage, SMALL, out) == 1
-        message = message.format(first=ids[0], last=ids[-1])
+        message = message.format(first=ids[0], last=ids[-1], foreign=foreign)
         assert capsys.readouterr().err == f"error: {out / name}: {message}\n"
 
 

@@ -1,5 +1,6 @@
 """Source hygiene checks that need no linter: every import in the package and
-the scripts is used, and so is every private top-level function and class.
+the scripts is used, none takes an underscore name from another module, and
+every private top-level function and class is used.
 Every public top-level function and class of the package is referenced by
 the package, the scripts or the tests, and every top-level definition and
 method is reached from a stage or from a named acceptance oracle.  Every
@@ -71,6 +72,25 @@ def test_no_unused_private_definitions(path):
               and node.name.startswith("_") and node.name not in used]
     assert not unused, f"{path.relative_to(ROOT)}: unused private " \
         "definitions: " + ", ".join(unused)
+
+
+def _private_imports(tree):
+    """(module.name, line) of every underscore name, dunders aside, that
+    ``tree`` imports from a module of the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("macroplan")):
+            for alias in node.names:
+                if alias.name.startswith("_") and not _is_dunder(alias.name):
+                    yield f"{node.module}.{alias.name}", node.lineno
+
+
+def test_no_private_imports_across_modules():
+    found = [f"{path.relative_to(ROOT)}: {name} (line {line})"
+             for path in SOURCES
+             for name, line in _private_imports(ast.parse(path.read_text()))]
+    assert not found, "underscore names imported from another module: " \
+        + ", ".join(found)
 
 
 MODULES = sorted(ROOT.glob("src/macroplan/*.py"))

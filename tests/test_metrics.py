@@ -249,9 +249,10 @@ class TestReport:
 
     def test_json_round_trip(self):
         import json
+        from dataclasses import asdict
         rep = MetricsReport(rg_count=3, rg_precision=90, cs_precision=80,
                             cs_recall=70, cs_f=74.7, co=60, bleu=25)
-        obj = json.loads(rep.to_json())
+        obj = json.loads(json.dumps(asdict(rep)))
         assert obj["cs_f"] == 74.7 and obj["plan_cs_f"] is None
 
     def test_evaluate_gold_against_itself(self, demo_game, aliases):

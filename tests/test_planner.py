@@ -257,8 +257,9 @@ class TestInference:
             assert len(plan.pointer_sequence) <= 3
 
 
-def test_linearize():
-    specs = [ParagraphPlanSpec("entity-singleton", ("A",), tokens=("<TEAM>A",)),
-             ParagraphPlanSpec("entity-singleton", ("B",), tokens=("<TEAM>B", "<TR>3"))]
-    assert linearize(specs[::-1]) == ["<TEAM>B", "<TR>3", "<P>", "<TEAM>A"]
-    assert linearize([]) == []
+def test_linearize(demo_game):
+    specs = [ParagraphPlanSpec(("Royals",)), ParagraphPlanSpec(("Orioles",))]
+    assert linearize(specs[::-1], demo_game) == [
+        "<TEAM>Orioles", "<TR>2", "<TH>5", "<E>1", "<P>",
+        "<TEAM>Royals", "<TR>9", "<TH>14", "<E>0"]
+    assert linearize([], demo_game) == []

@@ -65,46 +65,32 @@ class TestEventGroup:
 
 
 class TestSpec:
-    def test_singleton_invariant(self):
-        with pytest.raises(ValueError):
-            ParagraphPlanSpec("entity-singleton", ("a", "b"))
-
-    def test_pair_bounds(self):
-        with pytest.raises(ValueError):
-            ParagraphPlanSpec("entity-pair", ("a",))
-        ParagraphPlanSpec("entity-pair", ("a", "b", "c"))
-
-    def test_event_group_needs_events(self):
-        with pytest.raises(ValueError):
-            ParagraphPlanSpec("event-group", (), ())
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ParagraphPlanSpec("bogus", ("a",))
+    def test_empty_spec_refused(self):
+        with pytest.raises(ValueError, match="references nothing"):
+            ParagraphPlanSpec((), ())
 
     def test_identifiers(self):
-        spec = ParagraphPlanSpec("mixed-gold", ("Royals",), ((1, "T"),))
+        spec = ParagraphPlanSpec(("Royals",), ((1, "T"),))
         assert spec.identifiers() == ["E:Royals", "V:1-T"]
 
 
 class TestVerbalizePlan:
     def test_duplicate_entity_verbalized_once(self, demo_game):
-        spec = ParagraphPlanSpec("mixed-gold", ("Royals", "Royals"))
-        filled = verbalize_plan(spec, demo_game)
-        assert filled.tokens.count("<TEAM>Royals") == 1
+        spec = ParagraphPlanSpec(("Royals", "Royals"))
+        tokens = verbalize_plan(spec, demo_game)
+        assert tokens.count("<TEAM>Royals") == 1
 
     def test_unknown_entity_rejected(self, demo_game):
         with pytest.raises(ValueError):
-            verbalize_plan(ParagraphPlanSpec("entity-singleton", ("Ghost",)),
-                           demo_game)
+            verbalize_plan(ParagraphPlanSpec(("Ghost",)), demo_game)
 
     def test_entities_precede_events(self, demo_game):
-        spec = ParagraphPlanSpec("mixed-gold", ("Orioles",), ((1, "B"),))
-        filled = verbalize_plan(spec, demo_game)
-        assert filled.tokens[0] == "<TEAM>Orioles"
-        assert "<INN>1" in filled.tokens
+        spec = ParagraphPlanSpec(("Orioles",), ((1, "B"),))
+        tokens = verbalize_plan(spec, demo_game)
+        assert tokens[0] == "<TEAM>Orioles"
+        assert "<INN>1" in tokens
 
 
 def test_render_spec(demo_game):
-    spec = ParagraphPlanSpec("mixed-gold", ("Royals",), ((4, "B"), (1, "T")))
+    spec = ParagraphPlanSpec(("Royals",), ((4, "B"), (1, "T")))
     assert render_spec(spec) == "V(Royals) V(4-B, 1-T)"
