@@ -1,8 +1,10 @@
 """Minimal reverse-mode autodiff on dense float64 numpy arrays.
 
 A Tape records backward closures as ops execute; ``Tape.backward`` replays
-them in reverse.  Ops support 1-D vectors and 2-D (batch, dim) arrays, which
-is all the planner and generator architectures need.
+them in reverse.  Ops support 1-D vectors and 2-D (batch, dim) arrays; the
+ones the candidate encoder pools with (``gather_rows``, ``add``,
+``softmax``, ``transpose``, ``matmul`` of two stacks and ``sum``) also take
+a 3-D (batch, position, dim) stack.
 
 ``NO_GRAD`` evaluates the same ops, the subset the models use, on plain
 arrays and records nothing.  The models' forward functions take a tape or
@@ -78,9 +80,12 @@ class Tape:
             elif b.data.ndim == 1:          # (B,n) @ (n,) -> (B,)
                 a.accum(np.outer(g, b.data))
                 b.accum(a.data.T @ g)
-            else:                           # (B,n) @ (n,m) -> (B,m)
+            elif a.data.ndim == b.data.ndim == 2:   # (B,n) @ (n,m) -> (B,m)
                 a.accum(g @ b.data.T)
-                b.accum(a.data.T @ g)
+                b.accum(_sum_tn(a.data, g))
+            else:                           # (K,p,n) @ (K,n,m) -> (K,p,m)
+                a.accum(g @ NoGrad.transpose(b.data))
+                b.accum(NoGrad.transpose(a.data) @ g)
         self._record(out, backward)
         return out
 
@@ -190,16 +195,6 @@ class Tape:
         self._record(out, backward)
         return out
 
-    def stack_cols(self, cols: list["Tensor"]) -> "Tensor":
-        """Stack 1-D tensors of length B into a (B, len(cols)) tensor."""
-        out = Tensor(np.stack([c.data for c in cols], axis=1), self)
-
-        def backward():
-            for j, c in enumerate(cols):
-                c.accum(out.grad[:, j])
-        self._record(out, backward)
-        return out
-
     def _index(self, a: "Tensor", key) -> "Tensor":
         """``a[key]`` for a basic-index ``key``."""
         out = Tensor(a.data[key], self)
@@ -212,30 +207,28 @@ class Tape:
     def row(self, a: "Tensor", i: int) -> "Tensor":
         return self._index(a, i)
 
-    def column(self, a: "Tensor", j: int) -> "Tensor":
-        return self._index(a, (slice(None), slice(j, j + 1)))
-
     def gather_rows(self, table: "Tensor", indices) -> "Tensor":
+        """``table[indices]`` for an int array ``indices`` of any shape."""
         idx = np.asarray(indices, dtype=np.int64)
         out = Tensor(table.data[idx], self)
 
         def backward():
-            # sum repeated ids apart from table.grad, in index order, so that
-            # each gathered row reaches the table as one addition
-            rows, inverse = np.unique(idx, return_inverse=True)
-            g = np.zeros((rows.size,) + table.data.shape[1:])
-            np.add.at(g, inverse, out.grad)
-            table.accum_at(rows, g)
+            # sum repeated ids apart from table.grad, in index order, so
+            # that each gathered row reaches the table as one addition
+            rows, inverse = np.unique(idx.ravel(), return_inverse=True)
+            table.accum_at(rows, _sum_rows(inverse, out.grad.reshape(
+                (idx.size,) + table.data.shape[1:]), rows.size))
         self._record(out, backward)
         return out
 
     def transpose(self, a: "Tensor") -> "Tensor":
-        if a.data.ndim != 2:
-            raise ShapeError("transpose expects a 2-D tensor")
-        out = Tensor(a.data.T, self)
+        """Swap the last two axes of a tensor of two axes or more."""
+        if a.data.ndim < 2:
+            raise ShapeError("transpose expects a tensor of 2-D or more")
+        out = Tensor(NoGrad.transpose(a.data), self)
 
         def backward():
-            a.accum(out.grad.T)
+            a.accum(NoGrad.transpose(out.grad))
         self._record(out, backward)
         return out
 
@@ -269,24 +262,30 @@ class Tape:
         return out
 
     def lstm_sequence(self, xs: list["Tensor"], h0: "Tensor", c0: "Tensor",
-                      W: "Tensor", b: "Tensor"
+                      W: "Tensor", b: "Tensor", parents=None
                       ) -> tuple[list["Tensor"], "Tensor"]:
         """A fused-gate LSTM over the inputs ``xs``, all known before the
         recurrence, as one node; see :func:`_lstm_forward`.  Returns (h of
         each step, last c).
 
+        Under ``parents`` the steps form a tree: row r of step t continues
+        from row ``parents[t][r]`` of step t-1 (of ``h0``/``c0`` at t = 0).
+
         The forward takes one product per step, as
         :meth:`NoGrad.lstm_sequence` does, so training's values are
-        inference's to the bit.  The backward runs the steps in
-        reverse for each dz, then takes W's gradient as one product over
-        the stacked [x;h], b's as one sum and the inputs' as one product."""
+        inference's to the bit.  The backward runs the steps in reverse for
+        each dz, summing each row's carried dh and dc into its parent, then
+        takes W's gradient as products over the stacked [x;h] (see
+        :func:`_sum_tn`), b's as one sum and the inputs' as one product."""
         n_in = xs[0].data.shape[-1]
         h, c = h0.data, c0.data
         hs, saved = [], []
-        for x in xs:
+        for t, x in enumerate(xs):
+            if parents is not None:
+                h, c = h[parents[t]], c[parents[t]]
             xh = np.concatenate([x.data, h], axis=-1)
             h, c_new, ifo, g, tc = _lstm_forward(xh, c, W.data, b.data)
-            saved.append((xh, c, ifo, g, tc))
+            saved.append((xh.reshape(-1, xh.shape[-1]), c, ifo, g, tc))
             hs.append(Tensor(h, self))
             c = c_new
         c_out = Tensor(c, self)
@@ -296,23 +295,27 @@ class Tape:
             if dc is None and all(h_t.grad is None for h_t in hs):
                 return
             W_h = W.data[n_in:]
-            dh, dzs = np.zeros_like(h0.data), []
-            for h_t, (_, c_prev, ifo, g, tc) in zip(reversed(hs),
-                                                   reversed(saved)):
-                if h_t.grad is not None:
-                    dh += h_t.grad
+            dh, dzs = np.zeros_like(hs[-1].data), []
+            for t in reversed(range(len(xs))):
+                _, c_prev, ifo, g, tc = saved[t]
+                if hs[t].grad is not None:
+                    dh += hs[t].grad
                 dz, dc = _lstm_backward(dh, dc, c_prev, ifo, g, tc)
                 dh = dz @ W_h.T
-                dzs.append(dz)
-            xh = np.stack([s[0] for s in saved])
-            dz = np.stack(dzs[::-1])
-            xh = xh.reshape(-1, xh.shape[-1])
-            dz = dz.reshape(-1, dz.shape[-1])
-            W.accum(xh.T @ dz)
+                if parents is not None:
+                    rows = (hs[t - 1] if t else h0).data.shape[0]
+                    dh, dc = (_sum_rows(parents[t], a, rows) for a in (dh, dc))
+                dzs.append(dz.reshape(-1, dz.shape[-1]))
+            xh = np.concatenate([s[0] for s in saved])
+            dz = np.concatenate(dzs[::-1])
+            W.accum(_sum_tn(xh, dz))
             b.accum(dz.sum(axis=0))
-            dx = (dz @ W.data[:n_in].T).reshape((len(xs),) + xs[0].data.shape)
-            for x, g in zip(xs, dx):
-                x.accum(g)
+            dx = dz @ W.data[:n_in].T
+            lo = 0
+            for x in xs:
+                hi = lo + (x.data.size // n_in)
+                x.accum(dx[lo:hi].reshape(x.data.shape))
+                lo = hi
             h0.accum(dh)
             c0.accum(dc)
         self.nodes.append(backward)
@@ -330,12 +333,16 @@ class NoGrad:
     add = staticmethod(np.add)
     mul = staticmethod(np.multiply)
     tanh = staticmethod(np.tanh)
-    transpose = staticmethod(np.transpose)
     stack_rows = staticmethod(np.stack)
+    sum = staticmethod(np.sum)
 
     @staticmethod
     def param(store, name: str) -> np.ndarray:
         return store[name].data
+
+    @staticmethod
+    def transpose(a):
+        return np.swapaxes(a, -1, -2)
 
     @staticmethod
     def sigmoid(a):
@@ -353,10 +360,6 @@ class NoGrad:
         return np.concatenate(parts, axis=axis)
 
     @staticmethod
-    def stack_cols(cols):
-        return np.stack(cols, axis=1)
-
-    @staticmethod
     def slice_last(a, start: int, stop: int):
         return a[..., start:stop]
 
@@ -365,17 +368,15 @@ class NoGrad:
         return a[i]
 
     @staticmethod
-    def column(a, j: int):
-        return a[:, j:j + 1]
-
-    @staticmethod
     def gather_rows(table, indices):
         return table[np.asarray(indices, dtype=np.int64)]
 
     @staticmethod
-    def lstm_sequence(xs, h0, c0, W, b):
+    def lstm_sequence(xs, h0, c0, W, b, parents=None):
         hs, h, c = [], h0, c0
-        for x in xs:
+        for t, x in enumerate(xs):
+            if parents is not None:
+                h, c = h[parents[t]], c[parents[t]]
             h, c = _lstm_forward(np.concatenate([x, h], axis=-1), c, W, b)[:2]
             hs.append(h)
         return hs, c
@@ -417,6 +418,31 @@ def _lstm_backward(dh, dc, c, ifo, g, tc):
     difo *= 1.0 - ifo
     np.multiply(dc * i, 1.0 - g * g, out=dz[..., 3 * hidden:])
     return dz, dc * f
+
+
+#: rows per block of :func:`_sum_tn`: OpenBLAS rounds ``A.T @ B`` over this
+#: many rows or fewer the same at 1 and 2 threads, and over more it need not
+SUM_BLOCK = 384
+
+
+def _sum_tn(a, b):
+    """``a.T @ b`` for (n, p) and (n, q) arrays, as the sum of the products
+    over consecutive blocks of at most :data:`SUM_BLOCK` rows, taken in row
+    order, so that its bytes do not depend on the BLAS thread count."""
+    out = a[:SUM_BLOCK].T @ b[:SUM_BLOCK]
+    for lo in range(SUM_BLOCK, a.shape[0], SUM_BLOCK):
+        out += a[lo:lo + SUM_BLOCK].T @ b[lo:lo + SUM_BLOCK]
+    return out
+
+
+def _sum_rows(index, g, rows: int):
+    """(rows, ...) array whose row i sums the rows r of ``g`` with
+    ``index[r] == i``, added in the order of r as ``np.add.at`` adds them;
+    a row no index names is zero."""
+    width = int(np.prod(g.shape[1:]))
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(flat, weights=g.ravel(), minlength=rows * width
+                       ).reshape((rows,) + g.shape[1:])
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

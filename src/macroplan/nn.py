@@ -97,20 +97,25 @@ def lstm_step(tape: Tape | NoGrad, x, h, c, W, b):
     return hs[0], c
 
 
-def lstm_sequence(tape: Tape | NoGrad, xs: list, h, c, W, b):
+def lstm_sequence(tape: Tape | NoGrad, xs: list, h, c, W, b, parents=None):
     """A fused-gate LSTM over the inputs ``xs`` from state (h, c), as one
     tape node; gate order i, f, o, g along the last axis.
 
     Each input is (B, in) or (in,); ``h``/``c`` match with hidden width H.
     Under a tape the arguments are its tensors, under ``NO_GRAD`` plain
     arrays.  Returns (h of each step, last c).
+
+    ``parents``, one int array per step, runs the steps over a tree of
+    2-D rows: row r of step t continues from row ``parents[t][r]`` of step
+    t-1, or of ``h``/``c`` at t = 0.  The backward sums the gradients that
+    the children carry into each parent row.
     """
     hidden = h.shape[-1]
     if W.shape != (xs[0].shape[-1] + hidden, 4 * hidden):
         raise ShapeError(
             f"lstm_sequence: weight shape {W.shape} does not match "
             f"input {xs[0].shape} / hidden {hidden}")
-    return tape.lstm_sequence(xs, h, c, W, b)
+    return tape.lstm_sequence(xs, h, c, W, b, parents)
 
 
 def bilstm_encode(tape: Tape | NoGrad, seq: list, W_f, b_f, W_b, b_b,

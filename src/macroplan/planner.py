@@ -3,6 +3,7 @@ with a content-selection gate, pointer decoding, training and beam inference."""
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from .autodiff import NO_GRAD, NoGrad, Tape, Tensor
 from .data import Game
-from .nn import ParamStore, bilstm_encode, fit, lstm_sequence, lstm_step
+from .nn import ParamStore, fit, lstm_sequence, lstm_step
 from .verbalize import PARAGRAPH_SEP, ParagraphPlanSpec, verbalize_plan
 
 log = logging.getLogger(__name__)
@@ -99,40 +100,84 @@ def build_vocab(token_seqs) -> dict[str, int]:
 # inference
 
 
+def _trie(ids, valid):
+    """The prefix trie of the (K, T) rows of ``ids``, each cut where its row
+    of ``valid`` ends.  Returns (per depth, each node's parent: a node of the
+    depth before, or 0 for the root at depth 0; per depth, each node's
+    token; the (K, T) row of each position's node in the depths'
+    concatenation, 0 past a row's end).  A depth's nodes are its distinct
+    prefixes in sorted order, which is (parent, token) order.
+
+    Sorted, rows that share a prefix are neighbours: a row starts a node at
+    depth t where it differs from the row before at depth t or earlier."""
+    padded = np.where(valid, ids, -1)
+    order = np.lexsort(padded.T[::-1])
+    padded, live = padded[order], valid[order]
+    new = np.ones(padded.shape, dtype=bool)
+    new[1:] = padded[1:] != padded[:-1]
+    new = np.logical_or.accumulate(new, axis=1) & live
+    node = np.cumsum(new, axis=0) - 1       # each position's node in its depth
+    parent = np.zeros_like(node)
+    parent[:, 1:] = node[:, :-1]
+    sizes = new.sum(axis=0)
+    cuts = np.cumsum(sizes)[:-1]
+    rows = np.empty_like(node)
+    rows[order] = node + (np.cumsum(sizes) - sizes)
+    return (np.split(parent.T[new.T], cuts), np.split(padded.T[new.T], cuts),
+            np.where(valid, rows, 0))
+
+
 def encode_candidates(tape: Tape | NoGrad, model: PlannerModel,
                       id_seqs: list[list[int]]):
     """Attention-pooled BiLSTM representations, one row per candidate (K, n).
 
-    Sequences of equal length are encoded as a batch.
+    The forward LSTM runs over the prefix trie of the candidates and the
+    backward LSTM over that of the reversed candidates, each as one
+    sequence with one batched step per depth: every distinct prefix and
+    suffix is encoded once.  Duplicate candidates share all their trie
+    nodes, so their rows are equal to the bit, as the pointer decoder's tie
+    rule needs.  Each direction's node states are then gathered into a
+    padded (K, T, H) stack per candidate position, and both are pooled by
+    one masked softmax over the positions of the summed per-node scores.
     """
-    if any(len(s) == 0 for s in id_seqs):
+    lengths = np.array([len(s) for s in id_seqs])
+    if not lengths.all():
         raise ValueError("cannot encode an empty candidate")
+    valid = np.arange(lengths.max()) < lengths[:, None]          # (K, T)
+    ids = np.zeros(valid.shape, dtype=np.int64)
+    ids[valid] = np.fromiter(itertools.chain.from_iterable(id_seqs),
+                             dtype=np.int64, count=int(lengths.sum()))
+    # position t of a reversed candidate is position len - 1 - t of it
+    flip = np.maximum(lengths[:, None] - 1 - np.arange(valid.shape[1]), 0)
+    fwd = _trie(ids, valid)
+    bwd_parents, bwd_tokens, bwd_rows = _trie(
+        np.take_along_axis(ids, flip, axis=1), valid)
+    bwd = (bwd_parents, bwd_tokens, np.take_along_axis(bwd_rows, flip, 1))
+
     store = model.store
     hidden = model.hyper.hidden
     emb = tape.param(store, "emb")
     d = tape.param(store, "query_d")
-
-    by_len: dict[int, list[int]] = {}
-    for idx, seq in enumerate(id_seqs):
-        by_len.setdefault(len(seq), []).append(idx)
-
-    pooled, order = [], []
-    for length, members in sorted(by_len.items()):
-        ids = np.array([id_seqs[i] for i in members], dtype=np.int64)  # (B, T)
-        inputs = [tape.gather_rows(emb, ids[:, t]) for t in range(length)]
-        states = bilstm_encode(
-            tape, inputs, tape.param(store, "enc_f.W"),
-            tape.param(store, "enc_f.b"), tape.param(store, "enc_b.W"),
-            tape.param(store, "enc_b.b"), hidden)
-        scores = tape.stack_cols([tape.matmul(s, d) for s in states])  # (B, T)
-        alpha = tape.softmax(scores, axis=1)
-        acc = tape.mul(tape.column(alpha, 0), states[0])
-        for t in range(1, length):
-            acc = tape.add(acc, tape.mul(tape.column(alpha, t), states[t]))
-        pooled.append(acc)
-        order.extend(members)
-    # rows are in bucket order; put them back in candidate order
-    return tape.gather_rows(tape.concat(pooled, axis=0), np.argsort(order))
+    root = tape.zeros((1, hidden))
+    states, scores = [], []
+    for (parents, tokens, rows), name, lo in ((fwd, "enc_f", 0),
+                                              (bwd, "enc_b", hidden)):
+        hs, _ = lstm_sequence(
+            tape, [tape.gather_rows(emb, tok) for tok in tokens], root, root,
+            tape.param(store, f"{name}.W"), tape.param(store, f"{name}.b"),
+            parents=parents)
+        nodes = tape.concat(hs, axis=0)                          # (N, H)
+        d_half = tape.transpose(tape.stack_rows(
+            [tape.slice_last(d, lo, lo + hidden)]))              # (H, 1)
+        # each node's share of the score, once per node
+        scores.append(tape.gather_rows(tape.matmul(nodes, d_half), rows))
+        states.append(tape.gather_rows(nodes, rows))             # (K, T, H)
+    alpha = tape.transpose(tape.softmax(
+        tape.add(*scores), axis=1, mask=valid[:, :, None]))     # (K, 1, T)
+    # one (K, 1, T) @ (K, T, H) product per direction: a (K, T, n) stack of
+    # both would raise the stage's peak memory
+    return tape.concat([tape.sum(tape.matmul(alpha, s), axis=1)
+                        for s in states], axis=-1)
 
 
 def contextualize(tape: Tape | NoGrad, model: PlannerModel, reps):
@@ -266,7 +311,10 @@ class _PointerDecoder:
     row of a stacked product, whose rounding depends on the row's place in
     the stack: candidates that encode alike (names outside the vocabulary
     all read as ``<unk>``) must tie exactly, so that the pointer order, not
-    the rounding, breaks the tie."""
+    the rounding, breaks the tie.  Duplicate candidates share their trie
+    nodes in :func:`encode_candidates`, so their encoded rows are equal to
+    the bit.  :func:`contextualize` can still part them in the last bits:
+    each row leaves out itself, at its own place in the sums."""
 
     def __init__(self, model: PlannerModel, candidate_token_seqs):
         self.model = model

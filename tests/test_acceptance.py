@@ -93,6 +93,29 @@ def _lstm_sequence_loss(t, x, y, W, b, w, wv):
     return t.add(t.sum(t.mul(t.stack_rows(hs), w)), t.sum(t.mul(c, wv)))
 
 
+def _lstm_tree_loss(t, x, y, W, b, w, wc):
+    """A sequence over a tree of 1, 2 and 3 rows: the two rows of step 1
+    continue the root, and rows 1 and 2 of step 2 both continue row 1."""
+    xs = [t.gather_rows(x, [0]), t.gather_rows(x, [1, 2]), x]
+    hs, c = t.lstm_sequence(xs, t.gather_rows(y, [0]), t.gather_rows(y, [1]),
+                            W, b, [np.array([0]), np.array([0, 0]),
+                                   np.array([0, 1, 1])])
+    return t.add(t.sum(t.mul(t.concat(hs, axis=0), w)),
+                 t.sum(t.mul(c, wc)))
+
+
+def _masked_pool_loss(t, x, d, w):
+    """The candidate encoder's pooling: a masked softmax over the positions
+    of a (2, 3, 4) stack gathered from the rows of ``x``, scored row by row,
+    then one weighted sum per stack."""
+    rows = [[2, 0, 1], [1, 1, 0]]
+    mask = np.array([[True, True, False], [True, False, True]])[:, :, None]
+    alpha = t.softmax(t.gather_rows(t.matmul(x, d), rows), axis=1, mask=mask)
+    pooled = t.sum(t.matmul(t.transpose(alpha), t.gather_rows(x, rows)),
+                   axis=1)
+    return t.sum(t.mul(pooled, w))
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -143,6 +166,8 @@ def test_ac1_gradient_fidelity(capsys):
     w_lstm = rng.normal(size=(8, 16)) * 0.5
     b_lstm = rng.normal(size=16) * 0.5
     c_lstm = rng.normal(size=(3, 4))
+    w3 = rng.normal(size=(3, 2, 4))
+    w6 = rng.normal(size=(6, 4))
     primitives = [
         lambda t, x, y: t.sum(t.matmul(x, t.tensor(wk))),
         lambda t, x, y: t.sum(t.mul(t.add(x, y), t.tensor(w))),
@@ -162,12 +187,13 @@ def test_ac1_gradient_fidelity(capsys):
         lambda t, x, y: t.sum(t.mul(t.stack_rows([t.row(x, i)
                                                   for i in range(3)]),
                                     t.tensor(w))),
-        lambda t, x, y: t.sum(t.stack_cols([t.row(t.transpose(x), j)
-                                            for j in range(4)])),
         lambda t, x, y: t.sum(t.mul(t.slice_last(x, 1, 3), t.tensor(w[:, 1:3]))),
         lambda t, x, y: t.sum(t.mul(t.row(x, 1), t.tensor(wv))),
-        lambda t, x, y: t.sum(t.column(x, 2)),
         lambda t, x, y: t.sum(t.mul(t.gather_rows(x, [2, 0, 2]), t.tensor(w))),
+        lambda t, x, y: t.sum(t.mul(t.gather_rows(x, [[2, 0], [2, 2], [1, 0]]),
+                                    t.tensor(w3))),
+        lambda t, x, y: _masked_pool_loss(t, x, t.tensor(wk[:, :1]),
+                                          t.tensor(w[:2])),
         lambda t, x, y: t.sum(t.mul(t.transpose(x), t.tensor(w.T))),
         lambda t, x, y: t.mean(t.mul(x, y)),
         lambda t, x, y: t.pick(t.mul(x, y), (1, 2)),
@@ -178,6 +204,9 @@ def test_ac1_gradient_fidelity(capsys):
         lambda t, x, y: _lstm_sequence_loss(t, x, y, t.tensor(w_lstm),
                                             t.tensor(b_lstm), t.tensor(w),
                                             t.tensor(wv)),
+        lambda t, x, y: _lstm_tree_loss(t, x, y, t.tensor(w_lstm),
+                                        t.tensor(b_lstm), t.tensor(w6),
+                                        t.tensor(w)),
     ]
     for build in primitives:
         check(build)

@@ -1,22 +1,34 @@
-"""The fused LSTM op against the unfused cell it replaced.
+"""The fused LSTM op against the unfused cell it replaced, and the trie
+candidate encoder against the bucketed one it replaced.
 
 ``oracle_lstm_step`` is the earlier ``nn.lstm_step``: fifteen tape ops per
 step.  ``lstm_sequence``, on the tape and under ``NO_GRAD``, and
 ``nn.lstm_step``, a one-step sequence, must reproduce its forward exactly.
 The sequence's gradients, over one step and over six, and the gradients of
 both models' losses must lie within 1e-9 relative of the per-step oracle's.
+``reference_encode_candidates`` is the earlier ``planner.encode_candidates``:
+one BiLSTM batch per candidate length, pooled position by position.  The
+trie encoder's rows must lie within 1e-12 of it and its gradients within
+1e-9 relative.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from macroplan import generator, nn, planner
 from macroplan.autodiff import NO_GRAD, Tape
 from macroplan.generator import (BOS, EOS, GeneratorHyper, GeneratorModel,
                                  _copy_mask, _output_dists, _surfaces,
                                  build_gen_vocab, decode_step, encode_plan)
-from macroplan.planner import (PlannerHyper, PlannerModel, _forward_reps,
-                               _reps_with_eom, build_vocab, pointer_step)
+from macroplan.planner import (PlannerHyper, PlannerModel, _reps_with_eom,
+                               build_vocab, contextualize, encode_candidates,
+                               pointer_step)
 
 
 def oracle_lstm_step(tape, x, h, c, W, b):
@@ -144,9 +156,40 @@ def oracle_bilstm_encode(tape, seq, W_f, b_f, W_b, b_b, hidden):
     return [tape.concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
 
 
+def reference_encode_candidates(tape, model, id_seqs,
+                                bilstm=nn.bilstm_encode):
+    """The bucketed candidate encoder the trie encoder replaced, with the
+    BiLSTM ``bilstm``; its rows come back in candidate order."""
+    store = model.store
+    emb = tape.param(store, "emb")
+    d = tape.param(store, "query_d")
+    by_len = {}
+    for idx, seq in enumerate(id_seqs):
+        by_len.setdefault(len(seq), []).append(idx)
+    pooled, order = [], []
+    for length, members in sorted(by_len.items()):
+        ids = np.array([id_seqs[i] for i in members], dtype=np.int64)
+        inputs = [tape.gather_rows(emb, ids[:, t]) for t in range(length)]
+        states = bilstm(
+            tape, inputs, tape.param(store, "enc_f.W"),
+            tape.param(store, "enc_f.b"), tape.param(store, "enc_b.W"),
+            tape.param(store, "enc_b.b"), model.hyper.hidden)
+        scores = tape.transpose(tape.stack_rows(
+            [tape.matmul(s, d) for s in states]))                # (B, T)
+        alpha = tape.softmax(scores, axis=1)
+        acc = tape.mul(tape.slice_last(alpha, 0, 1), states[0])
+        for t in range(1, length):
+            acc = tape.add(acc, tape.mul(tape.slice_last(alpha, t, t + 1),
+                                         states[t]))
+        pooled.append(acc)
+        order.extend(members)
+    return tape.gather_rows(tape.concat(pooled, axis=0), np.argsort(order))
+
+
 def oracle_planner_loss(tape, model, id_seqs, pointer_seq):
     store = model.store
-    reps_c = _forward_reps(tape, model, id_seqs)
+    reps_c = contextualize(tape, model, reference_encode_candidates(
+        tape, model, id_seqs, oracle_bilstm_encode))
     all_reps = _reps_with_eom(tape, model, reps_c)
     k = len(id_seqs)
     h = tape.mean(reps_c, axis=0)
@@ -202,7 +245,7 @@ def _planner_case():
     model = PlannerModel.init(build_vocab(seqs), hyper,
                               np.random.default_rng(1))
     ids = [model.token_ids(s) for s in seqs]
-    return model, planner, lambda tape: planner.instance_loss(
+    return model, (), lambda tape: planner.instance_loss(
         tape, model, ids, [0, 3, 1, 3]), lambda tape: oracle_planner_loss(
         tape, model, ids, [0, 3, 1, 3])
 
@@ -216,7 +259,7 @@ def _generator_case():
     hyper = GeneratorHyper(emb_dim=5, hidden=4, seed=2, trunc=5)
     model = GeneratorModel.init(build_gen_vocab([(plan, target)]), hyper,
                                 np.random.default_rng(2))
-    return model, generator, lambda tape: generator.instance_loss(
+    return model, (generator,), lambda tape: generator.instance_loss(
         tape, model, plan, target), lambda tape: oracle_generator_loss(
         tape, model, plan, target)
 
@@ -224,7 +267,7 @@ def _generator_case():
 @pytest.mark.parametrize("case", [_planner_case, _generator_case],
                          ids=["planner", "generator"])
 def test_instance_loss_matches_per_step_oracle(case, monkeypatch):
-    model, module, loss_fn, oracle_fn = case()
+    model, patched, loss_fn, oracle_fn = case()
 
     def run(fn):
         tape = Tape()
@@ -235,9 +278,116 @@ def test_instance_loss_matches_per_step_oracle(case, monkeypatch):
 
     new_loss, new = run(loss_fn)
     with monkeypatch.context() as m:
-        m.setattr(module, "bilstm_encode", oracle_bilstm_encode)
+        for module in patched:
+            m.setattr(module, "bilstm_encode", oracle_bilstm_encode)
         old_loss, old = run(oracle_fn)
     assert abs(new_loss - old_loss) <= 1e-9 * abs(old_loss)
     assert new.keys() == old.keys() == dict(model.store.items()).keys()
     for name in old:
         assert _rel_err(new[name], old[name]) <= 1e-9, name
+
+
+def test_parents_continue_rows_of_the_step_before():
+    x, h, c, W, b = _arrays(2)
+    # both rows of step 1 continue row 1 of step 0 on the same input
+    hs, _ = nn.lstm_sequence(NO_GRAD, [x, x[[0, 0]]], h[:1], c[:1], W, b,
+                             [np.array([0, 0]), np.array([1, 1])])
+    assert np.array_equal(hs[1][0], hs[1][1])
+    assert not np.array_equal(hs[0][0], hs[0][1])
+
+
+# ---------------------------------------------------------------------------
+# The trie encoder against the bucketed reference
+
+
+#: a model over tokens 1-5 (0 is ``<unk>``), small enough for many examples
+TRIE_MODEL = PlannerModel.init(
+    build_vocab([[f"t{i}" for i in range(1, 6)]]),
+    PlannerHyper(emb_dim=5, hidden=4, seed=3), np.random.default_rng(3))
+
+
+@st.composite
+def candidate_sets(draw):
+    """Id sequences over a five-token alphabet with length-1 candidates,
+    prefixes and suffixes of other candidates, extensions of them and exact
+    duplicates."""
+    token = st.integers(0, 5)
+    seqs = draw(st.lists(st.lists(token, min_size=1, max_size=6),
+                         min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 8))):
+        seq = draw(st.sampled_from(seqs))
+        cut = draw(st.integers(1, len(seq)))
+        seqs.append(draw(st.sampled_from([
+            list(seq), seq[:cut], seq[cut - 1:], seq + [draw(token)],
+            [draw(token)] + seq, [seq[0]]])))
+    return draw(st.permutations(seqs))
+
+
+def _encode(encode, id_seqs):
+    """(rows, parameter gradients) of ``encode`` under a loss that weighs
+    every row."""
+    tape = Tape()
+    TRIE_MODEL.store.bind(tape)
+    reps = encode(tape, TRIE_MODEL, id_seqs)
+    w = np.random.default_rng(len(id_seqs)).normal(size=reps.shape)
+    tape.backward(tape.sum(tape.mul(reps, tape.tensor(w))))
+    return reps.data, TRIE_MODEL.store.grads()
+
+
+@settings(max_examples=60, deadline=None)
+@given(candidate_sets())
+def test_trie_encoder_matches_bucketed_reference(id_seqs):
+    new_reps, new = _encode(encode_candidates, id_seqs)
+    old_reps, old = _encode(reference_encode_candidates, id_seqs)
+    assert float(np.max(np.abs(new_reps - old_reps))) <= 1e-12
+    assert np.array_equal(new_reps,
+                          encode_candidates(NO_GRAD, TRIE_MODEL, id_seqs))
+    assert new.keys() == old.keys()
+    for name in old:
+        assert _rel_err(new[name], old[name]) <= 1e-9, name
+
+
+# ---------------------------------------------------------------------------
+# The sequence op's gradient at 1 and 2 BLAS threads
+
+
+TREE_GRADIENTS = """
+import hashlib
+import numpy as np
+from macroplan.autodiff import Tape
+
+rng = np.random.default_rng(0)
+# a tree of 8, 64, 200 and 300 rows: 572 stacked rows in W's gradient
+widths = [8, 64, 200, 300]
+parents = [np.zeros(8, dtype=np.int64)] + [
+    np.sort(rng.integers(0, prev, size=n)) for prev, n in
+    zip(widths, widths[1:])]
+tape = Tape()
+xs = [tape.tensor(rng.normal(size=(n, 64))) for n in widths]
+h0, c0 = (tape.tensor(rng.normal(size=(1, 64))) for _ in range(2))
+W = tape.tensor(rng.normal(size=(128, 256)) * 0.1)
+b = tape.tensor(np.zeros(256))
+hs, c = tape.lstm_sequence(xs, h0, c0, W, b, parents)
+loss = tape.sum(tape.mul(c, tape.tensor(rng.normal(size=c.shape))))
+for h in hs:
+    loss = tape.add(loss, tape.sum(tape.mul(
+        h, tape.tensor(rng.normal(size=h.shape)))))
+tape.backward(loss)
+for t in [W, b, h0, c0] + xs:
+    print(hashlib.sha256(t.grad.tobytes()).hexdigest())
+"""
+
+
+def _tree_gradient_hashes(threads: int) -> str:
+    env = dict(os.environ, PYTHONPATH=str(Path(nn.__file__).parents[1]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    return subprocess.run([sys.executable, "-c", TREE_GRADIENTS], env=env,
+                          capture_output=True, text=True,
+                          check=True).stdout
+
+
+def test_tree_gradients_equal_at_one_and_two_blas_threads():
+    one = _tree_gradient_hashes(1)
+    assert len(one.split()) == 8
+    assert one == _tree_gradient_hashes(2)

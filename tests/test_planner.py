@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from macroplan.autodiff import Tape
+from macroplan.autodiff import NO_GRAD, Tape
 from macroplan.nn import ParamStore, bilstm_encode
 from macroplan.planner import (BeamHypothesis, PlannerHyper,
-                               PlannerModel, _allowed, build_vocab,
+                               PlannerModel, _allowed, _trie, build_vocab,
                                contextualize, encode_candidates,
                                greedy_plan, infer_plan, instance_loss,
                                linearize, pointer_step, train_planner)
@@ -63,6 +63,45 @@ class TestEncodeCandidates:
         model.store.bind(t2)
         rev = encode_candidates(t2, model, ids[::-1]).data
         assert np.allclose(fwd, rev[::-1])
+
+    def test_trie_shares_prefixes(self):
+        seqs = [[1, 2, 3], [1, 2], [1, 4], [5], [1, 2, 3]]
+        valid = np.arange(3) < np.array([3, 2, 2, 1, 3])[:, None]
+        ids = np.zeros(valid.shape, dtype=np.int64)
+        ids[valid] = [t for s in seqs for t in s]
+        parents, tokens, rows = _trie(ids, valid)
+        assert [p.tolist() for p in parents] == [[0, 0], [0, 0], [0]]
+        assert [t.tolist() for t in tokens] == [[1, 5], [2, 4], [3]]
+        # rows index the depths' concatenation; 0 past a candidate's end
+        assert rows.tolist() == [[0, 2, 4], [0, 2, 0], [0, 3, 0], [1, 0, 0],
+                                 [0, 2, 4]]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicates_encode_to_identical_rows(self, seed):
+        # the pointer decoder's tie rule: duplicate candidates share their
+        # trie nodes, so their rows are equal to the bit wherever they sit,
+        # here at the benchmark's width, lengths and candidate count
+        rng = np.random.default_rng(seed)
+        seqs = [[f"t{i}" for i in rng.integers(0, 30,
+                                                size=rng.integers(1, 22))]
+                for _ in range(140)]
+        seqs += [seqs[i] for i in rng.integers(0, 140, size=10)]
+        seqs += [["t1"], ["t1"]]
+        seqs = [seqs[i] for i in rng.permutation(len(seqs))]
+        model = tiny_model(seqs, PlannerHyper(hidden=64))
+        ids = [model.token_ids(s) for s in seqs]
+        groups = {}
+        for k, seq in enumerate(seqs):
+            groups.setdefault(tuple(seq), []).append(k)
+        dups = [g for g in groups.values() if len(g) > 1]
+        assert len(dups) >= 8
+        tape = Tape()
+        model.store.bind(tape)
+        for reps in (encode_candidates(tape, model, ids).data,
+                     encode_candidates(NO_GRAD, model, ids)):
+            for group in dups:
+                for k in group[1:]:
+                    assert np.array_equal(reps[k], reps[group[0]])
 
     def test_empty_candidate_rejected(self):
         model = tiny_model(SEQS)
