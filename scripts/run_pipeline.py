@@ -17,8 +17,6 @@ def main() -> int:
     parser.add_argument("--config", default=None)
     parser.add_argument("--out", default="out")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--skip-training", action="store_true",
-                        help="reuse checkpoints already in --out")
     args = parser.parse_args()
 
     # each stage reads the config through the command line's own path
@@ -28,8 +26,6 @@ def main() -> int:
     if args.seed is not None:
         common += ["--seed", str(args.seed)]
     for stage in STAGES:
-        if args.skip_training and stage.startswith("train-"):
-            continue
         print(f"==> {stage}")
         status = run_stage([stage, *common])
         if status != 0:

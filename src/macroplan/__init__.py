@@ -3,13 +3,12 @@ content planning, attention+copy realization, and extractive evaluation."""
 
 __version__ = "0.1.0"
 
-from .data import (AliasTable, EntityRecord, Game, GameValidationError,
-                   PlayEvent, SummaryDoc)
+from .data import (EntityRecord, Game, GameValidationError, PlayEvent,
+                   SummaryDoc)
 from .verbalize import EOM_TOKEN, PARAGRAPH_SEP, ParagraphPlanSpec
 
 __all__ = [
-    "AliasTable", "EntityRecord", "Game", "GameValidationError", "PlayEvent",
-    "SummaryDoc",
+    "EntityRecord", "Game", "GameValidationError", "PlayEvent", "SummaryDoc",
     "EOM_TOKEN", "PARAGRAPH_SEP", "ParagraphPlanSpec",
     "__version__",
 ]

@@ -21,15 +21,13 @@ import numpy as np
 
 from . import bpe as bpe_mod
 from .candidates import augment_with_gold, enumerate_candidates
-from .data import (AliasTable, Game, SummaryDoc, load_alias_table,
-                   load_games, save_games)
+from .data import Game, SummaryDoc, load_games, save_games
 from .generator import (GeneratorHyper, GeneratorModel, generate,
                         train_generator)
-from .metrics import (DEFAULT_EXTRACTION_LEXICON, ExtractionLexicon,
-                      evaluate_summaries, intrinsic_plan_eval,
+from .metrics import (evaluate_summaries, intrinsic_plan_eval,
                       plan_fidelity, plan_identifiers)
 from .nn import load_params, save_params
-from .oracle import DEFAULT_INNING_LEXICON, InningLexicon, derive_macro_plan
+from .oracle import derive_macro_plan
 from .planner import (MacroPlan, PlannerHyper, PlannerModel, infer_plan,
                       linearize, train_planner)
 from .synth import SynthConfig, synth_league
@@ -45,8 +43,7 @@ class StageError(RuntimeError):
 
 
 #: the JSON values each annotation of a ``RunConfig`` field accepts
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str,
-               "str | None": (str, type(None))}
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 @dataclass(frozen=True)
@@ -73,9 +70,6 @@ class RunConfig:
     generator_trunc: int = 100
     generator_max_len: int = 400
     beam: int = 5
-    alias_path: str | None = None
-    extraction_lexicon_path: str | None = None
-    inning_lexicon_path: str | None = None
 
     @staticmethod
     def from_file(path) -> "RunConfig":
@@ -95,27 +89,6 @@ class RunConfig:
                 raise ValueError(f"config key {key!r} must be "
                                  f"{fields[key].type}, not {value!r}")
         return RunConfig(**obj)
-
-    def aliases(self) -> AliasTable:
-        if self.alias_path:
-            return load_alias_table(self.alias_path)
-        return AliasTable()
-
-    def extraction_lexicon(self) -> ExtractionLexicon:
-        if self.extraction_lexicon_path:
-            return ExtractionLexicon.from_file(self.extraction_lexicon_path)
-        return DEFAULT_EXTRACTION_LEXICON
-
-    def inning_lexicon(self) -> InningLexicon:
-        if self.inning_lexicon_path:
-            return InningLexicon.from_file(self.inning_lexicon_path)
-        return DEFAULT_INNING_LEXICON
-
-    def validate_paths(self) -> None:
-        for p in (self.alias_path, self.extraction_lexicon_path,
-                  self.inning_lexicon_path):
-            if p and not Path(p).exists():
-                raise FileNotFoundError(p)
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +281,9 @@ def stage_synth(cfg: RunConfig, out: Path) -> None:
 
 def stage_derive_plans(cfg: RunConfig, out: Path) -> None:
     games = _games(out)
-    aliases, lexicon = cfg.aliases(), cfg.inning_lexicon()
     lines = []
     for game in games:
-        specs = derive_macro_plan(game, aliases, lexicon)
+        specs = derive_macro_plan(game)
         # a gold plan points at its paragraphs in order
         lines.append(format_plan_line(
             game.id, MacroPlan(tuple(range(len(specs)))), specs))
@@ -447,17 +419,11 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> None:
     plans = read_plan_file(out / "plans_pred.txt", games)
     gold_plans = read_plan_file(out / "plans_gold.txt", games)
 
-    aliases = cfg.aliases()
-    lexicon = cfg.extraction_lexicon()
-    inning_lex = cfg.inning_lexicon()
-
-    fid = [plan_fidelity(docs[g.id], plans[g.id], g, aliases,
-                         lexicon=inning_lex) for g in games]
+    fid = [plan_fidelity(docs[g.id], plans[g.id], g) for g in games]
     fid_cs = sum(f for f, _ in fid) / len(fid) if fid else 100.0
     fid_co = sum(c for _, c in fid) / len(fid) if fid else 100.0
 
     report = evaluate_summaries([docs[g.id] for g in games], games,
-                                lexicon=lexicon, aliases=aliases,
                                 plan_scores=(fid_cs, fid_co))
     payload = asdict(report)
     p, r, f, co_val = intrinsic_plan_eval(
@@ -517,7 +483,6 @@ def run(subcommand: str, cfg: RunConfig, out: Path) -> int:
     stage = STAGES[subcommand]
     out.mkdir(parents=True, exist_ok=True)
     try:
-        cfg.validate_paths()
         _require(out, subcommand, stage.needs)
         stage.fn(cfg, out)
         _update_manifest(out, subcommand, stage.makes)

@@ -10,14 +10,12 @@ __all__ = [
     "PlayEvent",
     "SummaryDoc",
     "Game",
-    "AliasTable",
     "GameValidationError",
     "KIND_ORDER",
     "tokenize",
     "split_sentences",
     "load_games",
     "save_games",
-    "load_alias_table",
     "numeric_value",
 ]
 
@@ -209,31 +207,6 @@ class Game:
                     f"game {gid}: decreasing score at {ev.inning}-{ev.half},{ev.play_id}")
             team_runs[ev.batting_team] = bat
             team_runs[ev.pitching_team] = pit
-
-
-class AliasTable:
-    """Surface variant -> canonical entity name."""
-
-    def __init__(self, mapping: dict[str, str] | None = None):
-        self._map = dict(mapping or {})
-
-    def items(self):
-        return self._map.items()
-
-    def __len__(self):
-        return len(self._map)
-
-
-def load_alias_table(path) -> AliasTable:
-    mapping = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            variant, canonical = line.split("\t")
-            mapping[variant] = canonical
-    return AliasTable(mapping)
 
 
 # ---------------------------------------------------------------------------

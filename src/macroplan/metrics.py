@@ -2,26 +2,23 @@
 (duplicate-inclusive), Damerau-Levenshtein, BLEU, and plan-level evaluation.
 
 The learned IE system of the evaluation lineage is replaced by a deterministic
-extractor driven by a cue-word lexicon; the lexicon is a first-class config so
-extraction behaviour is auditable.
+extractor driven by a fixed cue-word lexicon, ``CUES``: the lexicon is part of
+what RG, CS and CO mean, so every run extracts by the same rules.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from .data import AliasTable, Game, SummaryDoc, numeric_value, split_sentences
-from .oracle import (DEFAULT_INNING_LEXICON, InningLexicon, derive_macro_plan,
-                     match_entities)
+from .data import Game, SummaryDoc, numeric_value, split_sentences
+from .oracle import derive_macro_plan, match_entities
 from .verbalize import ParagraphPlanSpec
 
 __all__ = [
     "Relation",
     "MetricsReport",
-    "ExtractionLexicon",
     "extract_relations",
     "rg",
     "cs",
@@ -61,28 +58,17 @@ def _number_words() -> dict[str, int]:
 NUMBER_WORDS = _number_words()
 
 
-@dataclass(frozen=True)
-class ExtractionLexicon:
-    """cue word -> record type, per entity kind (team / batter / pitcher)."""
-
-    cues: dict[str, dict[str, str]] = field(default_factory=lambda: {
-        "team": {"runs": "TR", "run": "TR", "hits": "TH", "hit": "TH",
-                 "errors": "E", "error": "E"},
-        "batter": {"at-bats": "AB", "at-bat": "AB", "runs": "BR", "run": "BR",
-                   "hits": "BH", "hit": "BH", "RBI": "RBI", "RBIs": "RBI"},
-        "pitcher": {"innings": "IP", "inning": "IP", "runs": "PR", "run": "PR",
-                    "hits": "PH", "hit": "PH", "strikeouts": "K",
-                    "strikeout": "K", "walks": "BB", "walk": "BB",
-                    "wins": "W", "losses": "L", "earned": "ER"},
-    })
-
-    @staticmethod
-    def from_file(path) -> "ExtractionLexicon":
-        with open(path, encoding="utf-8") as fh:
-            return ExtractionLexicon(cues=json.load(fh))
-
-
-DEFAULT_EXTRACTION_LEXICON = ExtractionLexicon()
+#: cue word -> record type, per entity kind (team / batter / pitcher)
+CUES = {
+    "team": {"runs": "TR", "run": "TR", "hits": "TH", "hit": "TH",
+             "errors": "E", "error": "E"},
+    "batter": {"at-bats": "AB", "at-bat": "AB", "runs": "BR", "run": "BR",
+               "hits": "BH", "hit": "BH", "RBI": "RBI", "RBIs": "RBI"},
+    "pitcher": {"innings": "IP", "inning": "IP", "runs": "PR", "run": "PR",
+                "hits": "PH", "hit": "PH", "strikeouts": "K",
+                "strikeout": "K", "walks": "BB", "walk": "BB",
+                "wins": "W", "losses": "L", "earned": "ER"},
+}
 
 
 def _numeric_token(tok: str) -> str | None:
@@ -105,17 +91,14 @@ def _entity_kind(game: Game, name: str) -> str:
     return rec.player_role()
 
 
-def extract_relations(summary: SummaryDoc, game: Game,
-                      lexicon: ExtractionLexicon = DEFAULT_EXTRACTION_LEXICON,
-                      aliases: AliasTable | None = None) -> list[Relation]:
+def extract_relations(summary: SummaryDoc, game: Game) -> list[Relation]:
     """Per sentence: pair each number with the nearest entity and type it by
     the nearest kind-compatible cue word.  Textual order, duplicates kept;
     numbers with no entity or no compatible cue contribute nothing."""
-    aliases = aliases or AliasTable()
     relations: list[Relation] = []
     for paragraph in summary.paragraphs:
         for sentence in split_sentences(list(paragraph)):
-            mentions = match_entities(sentence, game, aliases)
+            mentions = match_entities(sentence, game)
             if not mentions:
                 continue
             covered = set()
@@ -130,8 +113,7 @@ def extract_relations(summary: SummaryDoc, game: Game,
                 mention = min(
                     mentions,
                     key=lambda m: (_span_distance(j, m.token_span), m.token_span[0]))
-                kind = _entity_kind(game, mention.entity)
-                cue_map = lexicon.cues.get(kind, {})
+                cue_map = CUES[_entity_kind(game, mention.entity)]
                 best = None
                 for i, cue_tok in enumerate(sentence):
                     rec_type = cue_map.get(cue_tok) or cue_map.get(cue_tok.lower())
@@ -291,14 +273,10 @@ def intrinsic_plan_eval(pred_plans: list[list], gold_plans: list[list]):
 
 
 def plan_fidelity(summary: SummaryDoc, plan_specs: list[ParagraphPlanSpec],
-                  game: Game, aliases: AliasTable | None = None,
-                  lexicon: InningLexicon = DEFAULT_INNING_LEXICON
-                  ) -> tuple[float, float]:
+                  game: Game) -> tuple[float, float]:
     """Reverse-engineer a plan from ``summary`` and compare it to
     ``plan_specs``; returns (CS-F, CO)."""
-    aliases = aliases or AliasTable()
-    derived = derive_macro_plan(replace(game, summary=summary), aliases,
-                                lexicon)
+    derived = derive_macro_plan(replace(game, summary=summary))
     _, _, f, co_val = intrinsic_plan_eval(
         [plan_identifiers(derived)], [plan_identifiers(plan_specs)])
     return f, co_val
@@ -329,19 +307,15 @@ class MetricsReport:
 
 
 def evaluate_summaries(pred: list[SummaryDoc], games: list[Game],
-                       lexicon: ExtractionLexicon = DEFAULT_EXTRACTION_LEXICON,
-                       aliases: AliasTable | None = None,
                        plan_scores: tuple[float, float] | None = None) -> MetricsReport:
     """Corpus MetricsReport against each game's gold summary.  RG/CS aggregate
     over all relations (zero-relation summaries carry zero weight); CO is the
     per-game mean; BLEU is corpus-level."""
-    aliases = aliases or AliasTable()
     pred_rels, gold_rels = [], []
     bleu_pairs = []
     for doc, game in zip(pred, games):
-        pred_rels.append(extract_relations(doc, game, lexicon, aliases))
-        gold_rels.append(
-            extract_relations(game.summary, game, lexicon, aliases))
+        pred_rels.append(extract_relations(doc, game))
+        gold_rels.append(extract_relations(game.summary, game))
         bleu_pairs.append((doc.tokens(), game.summary.tokens()))
     rg_count, rg_precision = rg(pred_rels, games)
     csp, csr, csf, mean_co = intrinsic_plan_eval(pred_rels, gold_rels)

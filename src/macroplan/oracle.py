@@ -1,23 +1,23 @@
 """Gold macro-plan construction from (tables, summary) pairs.
 
 Inning-mention disambiguation uses a deterministic cue-lexicon heuristic in
-place of a pretrained-LM scorer; the lexicon is configurable.
+place of a pretrained-LM scorer.  Its cues are fixed, and the entity matcher
+knows full names and surnames only, so every run derives plans by the same
+rules.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
-from .data import AliasTable, Game, numeric_value, tokenize
+from .data import Game, numeric_value, tokenize
 from .verbalize import ParagraphPlanSpec
 
 log = logging.getLogger(__name__)
 
 __all__ = [
     "EntityMention",
-    "InningLexicon",
     "match_entities",
     "classify_inning_mention",
     "resolve_half",
@@ -40,27 +40,14 @@ class EntityMention:
     token_span: tuple[int, int]  # [start, end) indices in the paragraph
 
 
-@dataclass(frozen=True)
-class InningLexicon:
-    """Cue patterns for the inning-mention heuristic."""
-
-    cue_verbs: frozenset = frozenset(
-        {"led", "scored", "homered", "singled", "doubled", "walked"})
-    non_inning_nouns: frozenset = frozenset(
-        {"batter", "pitch", "base", "game", "start", "season"})
-    window: int = 6
-
-    @staticmethod
-    def from_file(path) -> "InningLexicon":
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return InningLexicon(
-            cue_verbs=frozenset(obj["cue_verbs"]),
-            non_inning_nouns=frozenset(obj["non_inning_nouns"]),
-            window=int(obj.get("window", 6)))
-
-
-DEFAULT_INNING_LEXICON = InningLexicon()
+#: cue patterns for the inning-mention heuristic: a verb within
+#: ``CUE_WINDOW`` tokens of an ordinal marks an inning, a noun right after it
+#: rules one out
+CUE_VERBS = frozenset({"led", "scored", "homered", "singled", "doubled",
+                       "walked"})
+NON_INNING_NOUNS = frozenset({"batter", "pitch", "base", "game", "start",
+                              "season"})
+CUE_WINDOW = 6
 
 _PUNCT = {".", ",", ";", ":", "!", "?", "(", ")", "--"}
 
@@ -87,23 +74,19 @@ def _player_volume(rec) -> float:
     return 0.0
 
 
-def _build_phrase_index(game: Game, aliases: AliasTable):
+def _build_phrase_index(game: Game):
     """phrase (token tuple) -> best entity name, longest-match ready."""
     candidates: dict[tuple[str, ...], list[tuple[float, str]]] = {}
 
     def add(phrase: tuple[str, ...], priority: float, name: str):
         candidates.setdefault(phrase, []).append((priority, name))
 
-    names = {e.name for e in game.entities}
     for e in game.entities:
         add(tuple(tokenize(e.name)), 100.0, e.name)  # full name wins outright
         if e.kind == "player":
             s = _surname(e.name)
             if s != e.name:
                 add((s,), _player_volume(e), e.name)
-    for variant, canonical in aliases.items():
-        if canonical in names:
-            add(tuple(tokenize(variant)), 50.0, canonical)
 
     index = {}
     for phrase, options in candidates.items():
@@ -112,11 +95,10 @@ def _build_phrase_index(game: Game, aliases: AliasTable):
     return index
 
 
-def match_entities(paragraph: list[str], game: Game,
-                   aliases: AliasTable) -> list[EntityMention]:
-    """Longest-match scan over token n-grams against entity names, player
-    surnames and alias variants; one mention per entity, first occurrence."""
-    index = _build_phrase_index(game, aliases)
+def match_entities(paragraph: list[str], game: Game) -> list[EntityMention]:
+    """Longest-match scan over token n-grams against entity names and player
+    surnames; one mention per entity, first occurrence."""
+    index = _build_phrase_index(game)
     max_len = max((len(p) for p in index), default=0)
     mentions: list[EntityMention] = []
     seen: set[str] = set()
@@ -150,8 +132,7 @@ def _next_non_punct(tokens: list[str], idx: int) -> str | None:
     return None
 
 
-def classify_inning_mention(paragraph: list[str], ordinal_index: int,
-                            lexicon: InningLexicon = DEFAULT_INNING_LEXICON) -> bool:
+def classify_inning_mention(paragraph: list[str], ordinal_index: int) -> bool:
     """True iff the ordinal at ``ordinal_index`` denotes an inning."""
     if not (0 <= ordinal_index < len(paragraph)):
         raise IndexError(f"ordinal index {ordinal_index} out of range")
@@ -162,11 +143,11 @@ def classify_inning_mention(paragraph: list[str], ordinal_index: int,
     nxt = _next_non_punct(paragraph, ordinal_index)
     if nxt is not None and nxt.lower() in ("inning", "innings"):
         return True
-    if nxt is not None and nxt.lower() in lexicon.non_inning_nouns:
+    if nxt is not None and nxt.lower() in NON_INNING_NOUNS:
         return False
 
-    lo = max(0, ordinal_index - lexicon.window)
-    hi = min(len(paragraph), ordinal_index + lexicon.window + 1)
+    lo = max(0, ordinal_index - CUE_WINDOW)
+    hi = min(len(paragraph), ordinal_index + CUE_WINDOW + 1)
     window = [t.lower() for t in paragraph[lo:hi]]
 
     cue = False
@@ -181,7 +162,7 @@ def classify_inning_mention(paragraph: list[str], ordinal_index: int,
         nxt_score = _next_non_punct(paragraph, t)
         if nxt_score is not None and _looks_like_score(nxt_score):
             cue = True
-    if not cue and any(v in window for v in lexicon.cue_verbs):
+    if not cue and any(v in window for v in CUE_VERBS):
         cue = True
     return cue
 
@@ -191,9 +172,7 @@ def _looks_like_score(tok: str) -> bool:
     return len(parts) == 2 and all(p.isdigit() for p in parts)
 
 
-def find_inning_mentions(paragraph: list[str], game: Game,
-                         lexicon: InningLexicon = DEFAULT_INNING_LEXICON
-                         ) -> list[int]:
+def find_inning_mentions(paragraph: list[str], game: Game) -> list[int]:
     """Ordinal token indices classified as inning mentions, in textual order."""
     max_inning = max((ev.inning for ev in game.events), default=0)
     out = []
@@ -201,7 +180,7 @@ def find_inning_mentions(paragraph: list[str], game: Game,
         inning = ORDINAL_WORDS.get(tok.lower())
         if inning is None or inning > max_inning:
             continue
-        if classify_inning_mention(paragraph, i, lexicon):
+        if classify_inning_mention(paragraph, i):
             out.append(i)
     return out
 
@@ -239,18 +218,17 @@ def resolve_half(inning: int, mentions: list[EntityMention], game: Game) -> str:
 # Macro plan derivation
 
 
-def derive_macro_plan(game: Game, aliases: AliasTable,
-                      lexicon: InningLexicon = DEFAULT_INNING_LEXICON):
+def derive_macro_plan(game: Game):
     """One ParagraphPlanSpec per summary paragraph, in paragraph order.
     Paragraphs matching nothing are dropped with a warning."""
     specs: list[ParagraphPlanSpec] = []
     for p_idx, paragraph in enumerate(game.summary.paragraphs):
         paragraph = list(paragraph)
-        mentions = match_entities(paragraph, game, aliases)
+        mentions = match_entities(paragraph, game)
 
         event_refs: list[tuple[int, str]] = []
         if game.kind == "event-rich":
-            for idx in find_inning_mentions(paragraph, game, lexicon):
+            for idx in find_inning_mentions(paragraph, game):
                 inning = ORDINAL_WORDS[paragraph[idx].lower()]
                 try:
                     half = resolve_half(inning, mentions, game)

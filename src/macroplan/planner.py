@@ -275,7 +275,6 @@ class BeamHypothesis:
     logprob: float
     h: np.ndarray
     c: np.ndarray
-    finished: bool = False
     bigrams: frozenset = frozenset()   # pointer bigrams used so far
 
     def score(self) -> float:
@@ -362,7 +361,7 @@ def infer_plan(candidate_token_seqs, model: PlannerModel, beam_size: int = 5,
         for b, hyp in enumerate(beams):
             if hyp.pointers:
                 finished.append(BeamHypothesis(
-                    hyp.pointers, float(logp[b, k]), h[b], c[b], True))
+                    hyp.pointers, float(logp[b, k]), h[b], c[b]))
         allowed = _allowed(beams, k, unigram_cap)
         if not allowed.any():
             break

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from macroplan.data import (AliasTable, EntityRecord, Game, PlayEvent,
-                            SummaryDoc)
+from macroplan.data import EntityRecord, Game, PlayEvent, SummaryDoc
 
 
 def _team(name, side, tr, th, e):
@@ -61,11 +60,6 @@ def demo_game() -> Game:
                 events=events, summary=summary)
     game.validate()
     return game
-
-
-@pytest.fixture
-def aliases() -> AliasTable:
-    return AliasTable({"Kansas City": "Royals", "Baltimore": "Orioles"})
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from macroplan.autodiff import Tape
 from macroplan.baselines import realize_plan_template, templ_summary
 from macroplan.candidates import augment_with_gold, enumerate_candidates
 from macroplan.cli import RunConfig, run as run_stage
-from macroplan.data import AliasTable, SummaryDoc
+from macroplan.data import SummaryDoc
 from macroplan.generator import (GeneratorHyper, GeneratorModel,
                                  _output_dists, build_gen_vocab, decode_step,
                                  encode_plan, generate, train_generator)
@@ -368,7 +368,7 @@ def test_ac6_round_trip_oracle(capsys):
     for game, gold in pairs:
         realized = realize_plan_template(gold, game)
         derived = derive_macro_plan(
-            dataclasses.replace(game, summary=realized), AliasTable())
+            dataclasses.replace(game, summary=realized))
         derived_ids.append(plan_identifiers(derived))
         gold_ids.append(plan_identifiers(gold))
     p, r, f, co_val = intrinsic_plan_eval(derived_ids, gold_ids)

@@ -2,7 +2,6 @@ import pytest
 
 from macroplan.baselines import (TOP_BATTERS, TOP_PITCHERS,
                                  realize_plan_template, templ_summary)
-from macroplan.data import AliasTable
 from macroplan.metrics import evaluate_summaries, extract_relations, rg
 from macroplan.oracle import derive_macro_plan
 from macroplan.synth import SynthConfig, synth_league
@@ -17,9 +16,9 @@ class TestTemplSummary:
         assert doc.paragraphs[0][1] == "Royals"   # winner named first
         assert doc.paragraphs[-1][-2] == "game"
 
-    def test_rg_precision_always_100(self, demo_game, aliases):
+    def test_rg_precision_always_100(self, demo_game):
         doc = templ_summary(demo_game)
-        rels = extract_relations(doc, demo_game, aliases=aliases)
+        rels = extract_relations(doc, demo_game)
         assert rels, "template must yield extractable relations"
         count, prec = rg([rels], [demo_game])
         assert prec == 100.0
@@ -50,12 +49,12 @@ class TestTemplSummary:
 
 
 class TestRealizePlanTemplate:
-    def test_round_trip_on_demo(self, demo_game, aliases):
-        gold = derive_macro_plan(demo_game, aliases)
+    def test_round_trip_on_demo(self, demo_game):
+        gold = derive_macro_plan(demo_game)
         doc = realize_plan_template(gold, demo_game)
         from dataclasses import replace
         rederived_game = replace(demo_game, summary=doc)
-        rederived = derive_macro_plan(rederived_game, aliases)
+        rederived = derive_macro_plan(rederived_game)
         assert [s.identifiers() for s in rederived] == \
             [s.identifiers() for s in gold]
 
@@ -75,11 +74,11 @@ class TestRealizePlanTemplate:
         para = doc.paragraphs[0]
         assert para[0] == "Royals" and "and" in para and "Orioles" in para
 
-    def test_evaluates_perfectly_against_itself(self, demo_game, aliases):
-        gold = derive_macro_plan(demo_game, aliases)
+    def test_evaluates_perfectly_against_itself(self, demo_game):
+        gold = derive_macro_plan(demo_game)
         doc = realize_plan_template(gold, demo_game)
         from dataclasses import replace
         game = replace(demo_game, summary=doc)
-        rep = evaluate_summaries([doc], [game], aliases=aliases)
+        rep = evaluate_summaries([doc], [game])
         assert rep.cs_f == 100.0 and rep.co == 100.0
 

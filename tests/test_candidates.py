@@ -3,7 +3,6 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from macroplan.candidates import augment_with_gold, enumerate_candidates
-from macroplan.data import AliasTable
 from macroplan.oracle import derive_macro_plan
 from macroplan.synth import SynthConfig, synth_league
 from macroplan.verbalize import (ParagraphPlanSpec, is_marker_token,
@@ -84,7 +83,7 @@ class TestMarkerTokens:
         league = synth_league(SynthConfig(games=2, innings=3, seed=seed,
                                           kind=kind))
         for game, _ in league:
-            gold = derive_macro_plan(game, AliasTable())
+            gold = derive_macro_plan(game)
             for spec in enumerate_candidates(game) + gold:
                 tokens = verbalize_plan(spec, game)
                 assert tokens
@@ -103,7 +102,7 @@ class TestSpecRoundTrip:
                                           kind=kind))
         for game, gold in league:
             cands = enumerate_candidates(game)
-            derived = derive_macro_plan(game, AliasTable())
+            derived = derive_macro_plan(game)
             for spec in gold + cands + derived:
                 assert parse_spec(render_spec(spec)) == spec, spec
             novel = [g for i, g in enumerate(gold)

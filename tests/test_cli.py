@@ -76,15 +76,22 @@ class TestRunConfig:
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
 
-    def test_missing_lexicon_path_rejected(self):
-        cfg = RunConfig(alias_path="/nonexistent/aliases.json")
-        with pytest.raises(FileNotFoundError):
-            cfg.validate_paths()
+    @pytest.mark.parametrize("key", ["alias_path", "extraction_lexicon_path",
+                                     "inning_lexicon_path"])
+    def test_removed_key_is_one_error_line(self, tmp_path, capsys, key):
+        # the lexicons and the entity matcher are fixed: a run cannot load
+        # its own from a file
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: "x.tsv"}))
+        assert main(["synth", "--config", str(path),
+                     "--out", str(tmp_path / "work")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: invalid config: unknown config keys: ['{key}']\n"
 
 
 class TestPlanLineFormat:
-    def test_round_trip(self, demo_game, aliases):
-        specs = derive_macro_plan(demo_game, aliases)
+    def test_round_trip(self, demo_game):
+        specs = derive_macro_plan(demo_game)
         plan = MacroPlan(tuple(range(len(specs))))
         line = format_plan_line(demo_game.id, plan, specs)
         game_id, paragraphs, pointers = parse_plan_line(line)
@@ -92,8 +99,8 @@ class TestPlanLineFormat:
         assert pointers == list(plan.pointer_sequence)
         assert paragraphs == specs
 
-    def test_read_plan_file(self, demo_game, aliases, tmp_path):
-        specs = derive_macro_plan(demo_game, aliases)
+    def test_read_plan_file(self, demo_game, tmp_path):
+        specs = derive_macro_plan(demo_game)
         plan = MacroPlan(tuple(range(len(specs))))
         path = tmp_path / "plans.txt"
         path.write_text(format_plan_line(demo_game.id, plan, specs) + "\n")

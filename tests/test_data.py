@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from macroplan.data import (AliasTable, Game, GameValidationError, SummaryDoc,
+from macroplan.data import (Game, GameValidationError, SummaryDoc,
                             load_games, numeric_value, save_games,
                             split_sentences, tokenize, game_to_obj,
                             game_from_obj)
@@ -117,13 +117,6 @@ class TestHalves:
     def test_plays_in_half_sorted(self, demo_game):
         plays = demo_game.plays_in_half(2, "T")
         assert [p.play_id for p in plays] == [1, 2]
-
-
-class TestAliasTable:
-    def test_lookup(self, aliases):
-        mapping = dict(aliases.items())
-        assert mapping["Kansas City"] == "Royals"
-        assert "Missing" not in mapping
 
 
 def test_numeric_value():

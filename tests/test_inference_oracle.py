@@ -63,7 +63,7 @@ def oracle_infer_plan(candidate_token_seqs, model, beam_size=5,
                 if i == k:
                     if hyp.pointers:
                         finished.append(BeamHypothesis(
-                            hyp.pointers, logp, h_t.data, c_t.data, True))
+                            hyp.pointers, logp, h_t.data, c_t.data))
                     continue
                 if _has_blocked_bigram(hyp.pointers, i):
                     continue

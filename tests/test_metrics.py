@@ -17,50 +17,50 @@ def _doc(*sentences):
 
 
 class TestExtraction:
-    def test_team_stat_sentence(self, demo_game, aliases):
+    def test_team_stat_sentence(self, demo_game):
         doc = _doc(["The", "Royals", "scored", "9", "runs", "on", "14",
                     "hits", "."])
-        rels = extract_relations(doc, demo_game, aliases=aliases)
+        rels = extract_relations(doc, demo_game)
         assert rels == [Relation("Royals", "TR", "9"),
                         Relation("Royals", "TH", "14")]
 
-    def test_number_word_normalized(self, demo_game, aliases):
+    def test_number_word_normalized(self, demo_game):
         doc = _doc(["The", "Royals", "scored", "nine", "runs", "."])
-        rels = extract_relations(doc, demo_game, aliases=aliases)
+        rels = extract_relations(doc, demo_game)
         assert rels == [Relation("Royals", "TR", "9")]
 
-    def test_number_without_cue_dropped(self, demo_game, aliases):
+    def test_number_without_cue_dropped(self, demo_game):
         doc = _doc(["The", "Royals", "posted", "a", "9", "."])
-        assert extract_relations(doc, demo_game, aliases=aliases) == []
+        assert extract_relations(doc, demo_game) == []
 
-    def test_number_without_entity_dropped(self, demo_game, aliases):
+    def test_number_without_entity_dropped(self, demo_game):
         doc = _doc(["They", "scored", "9", "runs", "."])
-        assert extract_relations(doc, demo_game, aliases=aliases) == []
+        assert extract_relations(doc, demo_game) == []
 
-    def test_nearest_entity_wins(self, demo_game, aliases):
+    def test_nearest_entity_wins(self, demo_game):
         doc = _doc(["C.Mullins", "struggled", "while", "W.Merrifield",
                     "collected", "3", "hits", "."])
-        rels = extract_relations(doc, demo_game, aliases=aliases)
+        rels = extract_relations(doc, demo_game)
         assert rels == [Relation("W.Merrifield", "BH", "3")]
 
-    def test_kind_specific_cue_map(self, demo_game, aliases):
+    def test_kind_specific_cue_map(self, demo_game):
         # "runs" maps to BR for a batter but TR for a team
         doc = _doc(["W.Merrifield", "scored", "2", "runs", "."],
                    ["The", "Orioles", "managed", "2", "runs", "."])
-        rels = extract_relations(doc, demo_game, aliases=aliases)
+        rels = extract_relations(doc, demo_game)
         assert rels == [Relation("W.Merrifield", "BR", "2"),
                         Relation("Orioles", "TR", "2")]
 
-    def test_duplicates_kept_in_order(self, demo_game, aliases):
+    def test_duplicates_kept_in_order(self, demo_game):
         doc = _doc(["The", "Royals", "scored", "9", "runs", ",", "yes", ",",
                     "9", "runs", "."])
-        rels = extract_relations(doc, demo_game, aliases=aliases)
+        rels = extract_relations(doc, demo_game)
         assert len(rels) == 2
 
-    def test_entity_tokens_not_treated_as_values(self, demo_game, aliases):
+    def test_entity_tokens_not_treated_as_values(self, demo_game):
         # digits inside a matched span must not become relation values
         doc = _doc(["The", "Royals", "won", "9", "-", "2", "."])
-        rels = extract_relations(doc, demo_game, aliases=aliases)
+        rels = extract_relations(doc, demo_game)
         types = [(r.entity, r.record_type) for r in rels]
         assert all(t == ("Royals", "TR") or t[1] in ("TR", "TH", "E")
                    for t in types) or rels == []
@@ -227,17 +227,17 @@ class TestIntrinsicPlanEval:
 
 
 class TestPlanFidelity:
-    def test_gold_summary_matches_gold_plan(self, demo_game, aliases):
+    def test_gold_summary_matches_gold_plan(self, demo_game):
         from macroplan.oracle import derive_macro_plan
-        specs = derive_macro_plan(demo_game, aliases)
-        f, co_val = plan_fidelity(demo_game.summary, specs, demo_game, aliases)
+        specs = derive_macro_plan(demo_game)
+        f, co_val = plan_fidelity(demo_game.summary, specs, demo_game)
         assert f == 100.0 and co_val == 100.0
 
-    def test_unrelated_summary_scores_low(self, demo_game, aliases):
+    def test_unrelated_summary_scores_low(self, demo_game):
         from macroplan.oracle import derive_macro_plan
-        specs = derive_macro_plan(demo_game, aliases)
+        specs = derive_macro_plan(demo_game)
         doc = _doc(["J.Means", "pitched", "."])
-        f, co_val = plan_fidelity(doc, specs, demo_game, aliases)
+        f, co_val = plan_fidelity(doc, specs, demo_game)
         assert f < 50.0
 
 
@@ -255,9 +255,8 @@ class TestReport:
         obj = json.loads(json.dumps(asdict(rep)))
         assert obj["cs_f"] == 74.7 and obj["plan_cs_f"] is None
 
-    def test_evaluate_gold_against_itself(self, demo_game, aliases):
-        rep = evaluate_summaries([demo_game.summary], [demo_game],
-                                 aliases=aliases)
+    def test_evaluate_gold_against_itself(self, demo_game):
+        rep = evaluate_summaries([demo_game.summary], [demo_game])
         assert rep.rg_precision == 100.0
         assert rep.cs_f == 100.0
         assert rep.co == 100.0

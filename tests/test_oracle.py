@@ -8,25 +8,20 @@ from macroplan.oracle import (ORDINAL_WORDS, classify_inning_mention,
 
 
 class TestMatchEntities:
-    def test_full_name(self, demo_game, aliases):
-        m = match_entities(["C.Mullins", "homered", "."], demo_game, aliases)
+    def test_full_name(self, demo_game):
+        m = match_entities(["C.Mullins", "homered", "."], demo_game)
         assert [x.entity for x in m] == ["C.Mullins"]
 
-    def test_alias(self, demo_game, aliases):
-        m = match_entities(["Kansas", "City", "won", "."], demo_game, aliases)
-        assert [x.entity for x in m] == ["Royals"]
-        assert m[0].token_span == (0, 2)
-
-    def test_surname(self, demo_game, aliases):
-        m = match_entities(["Keller", "pitched", "."], demo_game, aliases)
+    def test_surname(self, demo_game):
+        m = match_entities(["Keller", "pitched", "."], demo_game)
         assert [x.entity for x in m] == ["B.Keller"]
 
-    def test_duplicate_mention_collapsed(self, demo_game, aliases):
-        m = match_entities(["Keller", "then", "Keller"], demo_game, aliases)
+    def test_duplicate_mention_collapsed(self, demo_game):
+        m = match_entities(["Keller", "then", "Keller"], demo_game)
         assert len(m) == 1
         assert m[0].token_span == (0, 1)
 
-    def test_surname_volume_disambiguation(self, demo_game, aliases):
+    def test_surname_volume_disambiguation(self, demo_game):
         # two players sharing the surname "Smith": the higher-AB one wins
         b1 = dataclasses.replace(demo_game.entities[2], name="A.Smith")
         b2 = dataclasses.replace(
@@ -36,13 +31,12 @@ class TestMatchEntities:
         game = dataclasses.replace(
             demo_game, events=(),
             entities=demo_game.entities[:2] + (b1, b2) + demo_game.entities[5:])
-        m = match_entities(["Smith", "starred"], game, aliases)
+        m = match_entities(["Smith", "starred"], game)
         assert [x.entity for x in m] == ["A.Smith"]  # AB 5 beats AB 1
 
-    def test_longest_match_preferred(self, demo_game, aliases):
+    def test_longest_match_preferred(self, demo_game):
         # "C.Mullins" as one token must not shadow scanning of other names
-        m = match_entities(["C.Mullins", "and", "T.Mancini"], demo_game,
-                           aliases)
+        m = match_entities(["C.Mullins", "and", "T.Mancini"], demo_game)
         assert [x.entity for x in m] == ["C.Mullins", "T.Mancini"]
 
 
@@ -92,13 +86,13 @@ class TestFindInningMentions:
 
 
 class TestResolveHalf:
-    def test_single_half_inning(self, demo_game, aliases):
+    def test_single_half_inning(self, demo_game):
         # inning 2 only has a top half
         assert resolve_half(2, [], demo_game) == "T"
 
-    def test_participant_count_decides(self, demo_game, aliases):
+    def test_participant_count_decides(self, demo_game):
         m = match_entities(["C.Mullins", "homered", "off", "Keller"],
-                           demo_game, aliases)
+                           demo_game)
         assert resolve_half(1, m, demo_game) == "B"
 
     def test_absent_inning_rejected(self, demo_game):
@@ -107,8 +101,8 @@ class TestResolveHalf:
 
 
 class TestDeriveMacroPlan:
-    def test_demo_game(self, demo_game, aliases):
-        specs = derive_macro_plan(demo_game, aliases)
+    def test_demo_game(self, demo_game):
+        specs = derive_macro_plan(demo_game)
         idents = [s.identifiers() for s in specs]
         # paragraph 1: both teams, no numbers-only cues
         assert idents[0] == ["E:Royals", "E:Orioles"]
@@ -120,13 +114,13 @@ class TestDeriveMacroPlan:
         # paragraph 4: Keller the pitcher
         assert idents[3] == ["E:B.Keller"]
 
-    def test_unmatched_paragraph_dropped(self, demo_game, aliases):
+    def test_unmatched_paragraph_dropped(self, demo_game):
         doc_paras = [["Nothing", "matches", "here", "."]] + \
             [list(p) for p in demo_game.summary.paragraphs]
         game = dataclasses.replace(
             demo_game,
             summary=demo_game.summary.from_lists(doc_paras))
-        specs = derive_macro_plan(game, aliases)
+        specs = derive_macro_plan(game)
         assert len(specs) == 4  # the junk paragraph contributed nothing
 
 
