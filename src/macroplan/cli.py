@@ -105,19 +105,16 @@ def format_plan_line(game_id: str, plan: MacroPlan,
 
 
 def parse_plan_line(line: str):
-    """Returns (game_id, [ParagraphPlanSpec, ...], pointer list)."""
+    """Returns (game_id, [ParagraphPlanSpec, ...]).  The pointer column is
+    a comment: no stage reads it."""
     fields = line.rstrip("\n").split("\t")
     if len(fields) != 3:
         raise ValueError(f"expected 3 tab-separated fields, found "
                          f"{len(fields)}")
-    game_id, rendering, comment = fields
-    try:
-        pointers = [int(x) for x in comment.lstrip("# ").split()]
-    except ValueError:
-        raise ValueError(f"pointers {comment!r} are not integers") from None
+    game_id, rendering, _ = fields
     specs = [parse_spec(part) for part in rendering.split(PARAGRAPH_SEP)] \
         if rendering else []
-    return game_id, specs, pointers
+    return game_id, specs
 
 
 def _read_per_game(path, games: list[Game], parse, build) -> dict:
@@ -158,8 +155,7 @@ def _checked_plan(specs: list[ParagraphPlanSpec], game: Game):
 def read_plan_file(path, games: list[Game]):
     """game id -> list of ParagraphPlanSpec, in plan order, for exactly the
     games of ``games``."""
-    return _read_per_game(path, games, lambda line: parse_plan_line(line)[:2],
-                          _checked_plan)
+    return _read_per_game(path, games, parse_plan_line, _checked_plan)
 
 
 def _summary_line(line: str):

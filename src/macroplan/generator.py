@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import NO_GRAD, NoGrad, Tape, Tensor
-from .nn import ParamStore, bilstm_encode, fit, lstm_sequence, lstm_step
+from .nn import (ParamStore, best_hypothesis, bilstm_encode, fit,
+                 lstm_sequence, lstm_step, rank_expansions)
 from .verbalize import strip_marker
 
 log = logging.getLogger(__name__)
@@ -246,38 +247,15 @@ class _ExtendedVocab:
         return dist
 
 
-def _top_k(dist: np.ndarray, m: int) -> list[np.ndarray]:
-    """Per row, the indices of the ``m`` largest entries ordered by
-    (-probability, index): the order of a full sort, without one."""
-    m = min(m, dist.shape[1])
-    part = np.argpartition(-dist, m - 1, axis=1)[:, :m]
-    kth = np.take_along_axis(dist, part, axis=1).min(axis=1)
-    top = []
-    for row, t in zip(dist, kth):
-        cand = np.flatnonzero(row >= t)
-        top.append(cand[np.argsort(-row[cand], kind="stable")[:m]])
-    return top
-
-
-@dataclass
-class _Hyp:
-    tokens: tuple[int, ...]    # extended-vocabulary indices
-    logprob: float
-    h: np.ndarray
-    c: np.ndarray
-    prev: int                  # decoder input id of the last token
-
-    def score(self) -> float:
-        return self.logprob / max(len(self.tokens), 1)
-
-
 def generate(plan_tokens: list[str], model: GeneratorModel,
              beam_size: int) -> list[str]:
     """Beam-search decode a token sequence (EOS excluded) for the plan, of at
     most ``hyper.max_len`` tokens.
 
-    Copy emissions surface as the marker-stripped plan token.  Final ranking
-    is by length-normalized log probability.
+    Copy emissions surface as the marker-stripped plan token.  The beam is
+    held as arrays: (B, t) extended-vocabulary indices, (B,) log probs,
+    (B, n) states and the (B,) lexicographic rank of the histories.  Final
+    ranking is by length-normalized log probability.
     """
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
@@ -288,38 +266,37 @@ def generate(plan_tokens: list[str], model: GeneratorModel,
     emb, W_dec, b_dec = (NO_GRAD.param(model.store, name)
                          for name in ("emb", "dec.W", "dec.b"))
 
-    beams = [_Hyp((), 0.0, h0, c0, model.token_id(BOS))]
-    finished: list[_Hyp] = []
+    tokens = np.zeros((1, 0), dtype=np.int64)
+    logprob, rank = np.zeros(1), np.zeros(1, dtype=np.int64)
+    h, c = h0[None, :], c0[None, :]
+    prev = np.array([model.token_id(BOS)])  # decoder input id of each row
+    finished = []                      # (log prob, tokens) of each EOS
     for _step in range(model.hyper.max_len):
-        h, c = lstm_step(
-            NO_GRAD,
-            NO_GRAD.gather_rows(emb, np.array([hyp.prev for hyp in beams])),
-            np.stack([hyp.h for hyp in beams]),
-            np.stack([hyp.c for hyp in beams]), W_dec, b_dec)
+        h, c = lstm_step(NO_GRAD, NO_GRAD.gather_rows(emb, prev), h, c,
+                         W_dec, b_dec)
         comb, alpha = decode_step(NO_GRAD, model, S, h)
         p_gen, p_copy = _output_dists(NO_GRAD, model, comb)
         dist = ext.mix(p_gen, p_copy, alpha)
-        expansions: list[_Hyp] = []
-        tops = _top_k(dist, beam_size + 1)
-        for b, (hyp, top) in enumerate(zip(beams, tops)):
-            for j in top.tolist():
-                logp = hyp.logprob + float(np.log(max(dist[b, j], 1e-300)))
-                if j == ext.eos:
-                    if hyp.tokens:
-                        finished.append(_Hyp(hyp.tokens, logp, h[b], c[b],
-                                             j))
-                    continue
-                expansions.append(_Hyp(hyp.tokens + (j,), logp, h[b], c[b],
-                                       int(ext.input_id[j])))
-        if not expansions:
+        # per row, the likeliest surfaces, ties to the lower index
+        top = np.argsort(-dist, axis=1, kind="stable")[:, :beam_size + 1]
+        logp = logprob[:, None] + np.log(np.maximum(
+            np.take_along_axis(dist, top, axis=1), 1e-300))
+        if tokens.shape[1]:
+            rows, cols = np.nonzero(top == ext.eos)
+            finished += zip(logp[rows, cols].tolist(),
+                            map(tuple, tokens[rows].tolist()))
+        rows, cols = np.nonzero(top != ext.eos)
+        if not rows.size:
             break
-        expansions.sort(key=lambda b: (-b.logprob, b.tokens))
-        beams = expansions[:beam_size]
+        keep, rank = rank_expansions(logp[rows, cols], rows, top[rows, cols],
+                                     rank, beam_size)
+        parent, cols = rows[keep], cols[keep]
+        token = top[parent, cols]
+        tokens = np.column_stack([tokens[parent], token])
+        logprob, h, c = logp[parent, cols], h[parent], c[parent]
+        prev = ext.input_id[token]
 
-    best = None
-    if finished:
-        best = min(finished, key=lambda b: (-b.score(), b.tokens))
-    elif beams:
+    if not finished:
         log.warning("generation hit the length cap without end-of-sequence")
-        best = min(beams, key=lambda b: (-b.score(), b.tokens))
-    return [] if best is None else [ext.surfaces[j] for j in best.tokens]
+        finished = zip(logprob.tolist(), map(tuple, tokens.tolist()))
+    return [ext.surfaces[j] for j in best_hypothesis(finished)]

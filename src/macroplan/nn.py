@@ -1,4 +1,5 @@
-"""Parameters, LSTM cells, Adagrad, gradient checking and checkpoint I/O."""
+"""Parameters, LSTM cells, Adagrad, gradient checking, the beam-search
+ranking rules and checkpoint I/O."""
 
 from __future__ import annotations
 
@@ -16,6 +17,8 @@ __all__ = [
     "bilstm_encode",
     "adagrad_step",
     "fit",
+    "rank_expansions",
+    "best_hypothesis",
     "grad_check",
     "save_params",
     "load_params",
@@ -180,6 +183,29 @@ def fit(model, loss_fn, data: list, rng: np.random.Generator) -> list[float]:
         if hyper.stop_tol is not None and trace[-1] < hyper.stop_tol:
             break
     return trace
+
+
+def rank_expansions(logp, parent, token, rank, width: int):
+    """The ``width`` best expansions of a beam whose hypotheses have ``rank``
+    as the lexicographic rank of their histories, one length for all.
+
+    Expansion e appends ``token[e]`` to hypothesis ``parent[e]`` at log
+    probability ``logp[e]``, and no two expansions share both.  They are
+    ordered by (-log prob, history): over histories of one length, history
+    order is (``rank[parent]``, ``token``) order.  Returns (``keep``, the
+    indices of the kept expansions, best first; each kept history's
+    lexicographic rank among them)."""
+    keep = np.lexsort((token, rank[parent], -logp))[:width]
+    new_rank = np.empty(len(keep), dtype=np.int64)
+    new_rank[np.lexsort((token[keep], rank[parent[keep]]))] = \
+        np.arange(len(keep))
+    return keep, new_rank
+
+
+def best_hypothesis(pairs) -> tuple:
+    """The history of the best (log prob, history tuple) pair, by log prob
+    per step, the smaller history on a tie."""
+    return min(pairs, key=lambda p: (-(p[0] / max(len(p[1]), 1)), p[1]))[1]
 
 
 def grad_check(loss_fn, store: ParamStore, max_coords: int | None = None,

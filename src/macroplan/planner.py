@@ -11,7 +11,8 @@ import numpy as np
 
 from .autodiff import NO_GRAD, NoGrad, Tape, Tensor
 from .data import Game
-from .nn import ParamStore, fit, lstm_sequence, lstm_step
+from .nn import (ParamStore, best_hypothesis, fit, lstm_sequence, lstm_step,
+                 rank_expansions)
 from .verbalize import PARAGRAPH_SEP, ParagraphPlanSpec, verbalize_plan
 
 log = logging.getLogger(__name__)
@@ -55,8 +56,9 @@ class PlannerHyper:
 
 
 class PlannerModel:
-    """Parameter container for the planning network plus the subword
-    vocabulary the candidate encoder reads."""
+    """Parameter container for the planning network plus the token
+    vocabulary the candidate encoder reads: marker-fused record tokens,
+    each taken whole."""
 
     def __init__(self, store: ParamStore, vocab: dict[str, int],
                  hyper: PlannerHyper):
@@ -269,37 +271,21 @@ def train_planner(dataset, hyper: PlannerHyper
 # Inference
 
 
-@dataclass
-class BeamHypothesis:
-    pointers: tuple[int, ...]
-    logprob: float
-    h: np.ndarray
-    c: np.ndarray
-    bigrams: frozenset = frozenset()   # pointer bigrams used so far
-
-    def score(self) -> float:
-        return self.logprob / max(len(self.pointers), 1)
-
-    def extend(self, i: int, logprob: float, h: np.ndarray,
-               c: np.ndarray) -> "BeamHypothesis":
-        bigrams = self.bigrams | {(self.pointers[-1], i)} if self.pointers \
-            else self.bigrams
-        return BeamHypothesis(self.pointers + (i,), logprob, h, c,
-                              bigrams=bigrams)
-
-
-def _allowed(hyps: list[BeamHypothesis], k: int,
-             unigram_cap: bool) -> np.ndarray:
-    """(len(hyps), k) mask of the candidates each hypothesis may point at
-    next: no repeated bigram and, under ``unigram_cap``, no third use."""
-    allowed = np.ones((len(hyps), k), dtype=bool)
-    for row, hyp in zip(allowed, hyps):
-        if not hyp.pointers:
-            continue
-        last = hyp.pointers[-1]
-        row[[b for a, b in hyp.bigrams if a == last]] = False
-        if unigram_cap:
-            row[np.bincount(hyp.pointers, minlength=k) >= 2] = False
+def _allowed(pointers: np.ndarray, k: int, unigram_cap: bool) -> np.ndarray:
+    """(B, k) mask of the candidates each row of the (B, t) ``pointers`` may
+    point at next: no repeated bigram and, under ``unigram_cap``, no third
+    use."""
+    b, t = pointers.shape
+    allowed = np.ones((b, k), dtype=bool)
+    if not t:
+        return allowed
+    # (last, j) was used where j follows an earlier use of the last pointer
+    rows, cols = np.nonzero(pointers[:, :-1] == pointers[:, -1:])
+    allowed[rows, pointers[rows, cols + 1]] = False
+    if unigram_cap:
+        counts = np.bincount((np.arange(b)[:, None] * k + pointers).ravel(),
+                             minlength=b * k).reshape(b, k)
+        allowed &= counts < 2
     return allowed
 
 
@@ -325,67 +311,65 @@ class _PointerDecoder:
         self.start = NO_GRAD.param(store, "start")
         self.W = NO_GRAD.param(store, "dec.W")
         self.b = NO_GRAD.param(store, "dec.b")
+        #: the root beam: no pointers, h the mean candidate, c zero
+        self.h0 = self.reps_c.mean(axis=0)[None, :]
 
-    def root(self) -> BeamHypothesis:
-        h0 = self.reps_c.mean(axis=0)
-        return BeamHypothesis((), 0.0, h0, np.zeros_like(h0))
-
-    def step(self, hyps: list[BeamHypothesis]):
+    def step(self, pointers: np.ndarray, h: np.ndarray, c: np.ndarray):
         """New (h, c) and the distribution over candidates plus EOM, one row
-        per hypothesis."""
+        per row of the (B, t) ``pointers`` and their (B, n) states."""
+        xs = self.reps_c[pointers[:, -1]] if pointers.shape[1] \
+            else [self.start] * len(h)
         hs, cs, dists = [], [], []
-        for hyp in hyps:
-            x = self.reps_c[hyp.pointers[-1]] if hyp.pointers else self.start
-            h, c = lstm_step(NO_GRAD, x, hyp.h, hyp.c, self.W, self.b)
-            hs.append(h)
-            cs.append(c)
-            dists.append(pointer_step(NO_GRAD, self.model, h, self.all_reps))
-        return hs, cs, np.stack(dists)
+        for x, h_b, c_b in zip(xs, h, c):
+            h_b, c_b = lstm_step(NO_GRAD, x, h_b, c_b, self.W, self.b)
+            hs.append(h_b)
+            cs.append(c_b)
+            dists.append(pointer_step(NO_GRAD, self.model, h_b, self.all_reps))
+        return np.stack(hs), np.stack(cs), np.stack(dists)
 
 
 def infer_plan(candidate_token_seqs, model: PlannerModel, beam_size: int = 5,
                unigram_cap: bool = False) -> MacroPlan:
     """Beam search over pointer sequences with bigram blocking, an optional
-    two-occurrence unigram cap, and length-normalized final ranking."""
+    two-occurrence unigram cap, and length-normalized final ranking.
+
+    The beam is held as arrays: (B, t) pointers, (B,) log probs, (B, n)
+    states and the (B,) lexicographic rank of the pointer histories."""
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
     dec = _PointerDecoder(model, candidate_token_seqs)
     k = dec.k
 
-    beams = [dec.root()]
-    finished: list[BeamHypothesis] = []
+    pointers = np.zeros((1, 0), dtype=np.int64)
+    logprob, rank = np.zeros(1), np.zeros(1, dtype=np.int64)
+    h, c = dec.h0, np.zeros_like(dec.h0)
+    finished = []                      # (log prob, pointers) of each EOM
     for _step in range(MAX_PLAN_LEN + 1):
-        h, c, dist = dec.step(beams)
-        logp = np.array([hyp.logprob for hyp in beams])[:, None] \
-            + np.log(np.maximum(dist, 1e-300))
-        for b, hyp in enumerate(beams):
-            if hyp.pointers:
-                finished.append(BeamHypothesis(
-                    hyp.pointers, float(logp[b, k]), h[b], c[b]))
-        allowed = _allowed(beams, k, unigram_cap)
+        h, c, dist = dec.step(pointers, h, c)
+        logp = logprob[:, None] + np.log(np.maximum(dist, 1e-300))
+        if pointers.shape[1]:
+            finished += zip(logp[:, k].tolist(), map(tuple, pointers.tolist()))
+        allowed = _allowed(pointers, k, unigram_cap)
         if not allowed.any():
             break
         flat = np.where(allowed, logp[:, :k], -np.inf).ravel()
-        # every expansion scoring at least the beam_size-th best, ranked by
-        # (-logprob, pointers) so that ties break as a full sort would
+        # rank only the expansions scoring at least the beam_size-th best
         m = min(beam_size, int(allowed.sum()))
-        kth = np.partition(flat, flat.size - m)[flat.size - m]
-        top = sorted(np.flatnonzero(flat >= kth).tolist(),
-                     key=lambda j: (-flat[j],
-                                    beams[j // k].pointers + (j % k,)))[:m]
-        beams = [beams[j // k].extend(j % k, float(flat[j]), h[j // k],
-                                      c[j // k]) for j in top]
+        cand = np.flatnonzero(flat >= np.partition(flat, flat.size - m)
+                              [flat.size - m])
+        keep, rank = rank_expansions(flat[cand], cand // k, cand % k, rank,
+                                     beam_size)
+        cand = cand[keep]
+        parent = cand // k
+        pointers = np.column_stack([pointers[parent], cand % k])
+        logprob, h, c = flat[cand], h[parent], c[parent]
 
-    if finished:
-        finished.sort(key=lambda b: (-b.score(), b.pointers))
-        return MacroPlan(finished[0].pointers, terminated=True)
-    if beams:
+    terminated = bool(finished)
+    if not terminated:
         log.warning("beam search exhausted without EOM; returning best "
                     "unfinished hypothesis")
-        beams.sort(key=lambda b: (-b.score(), b.pointers))
-        return MacroPlan(beams[0].pointers, terminated=False)
-    log.warning("all hypotheses pruned before any finished")
-    return MacroPlan((), terminated=False)
+        finished = zip(logprob.tolist(), map(tuple, pointers.tolist()))
+    return MacroPlan(best_hypothesis(finished), terminated=terminated)
 
 
 def greedy_plan(candidate_token_seqs, model: PlannerModel,
@@ -394,22 +378,23 @@ def greedy_plan(candidate_token_seqs, model: PlannerModel,
     dec = _PointerDecoder(model, candidate_token_seqs)
     k = dec.k
 
-    hyp = dec.root()
+    pointers = np.zeros((1, 0), dtype=np.int64)
+    h, c = dec.h0, np.zeros_like(dec.h0)
     for _step in range(MAX_PLAN_LEN + 1):
-        h, c, dist = dec.step([hyp])
+        h, c, dist = dec.step(pointers, h, c)
         dist = dist[0]
-        dist[:k][~_allowed([hyp], k, unigram_cap)[0]] = -1.0
+        dist[:k][~_allowed(pointers, k, unigram_cap)[0]] = -1.0
         best = int(np.argmax(dist))
         if best == k:
-            if hyp.pointers:
-                return MacroPlan(hyp.pointers, terminated=True)
+            if pointers.size:
+                return MacroPlan(tuple(pointers[0].tolist()), terminated=True)
+            # a plan points at something before it ends, and nothing is
+            # blocked yet
             dist[k] = -1.0
             best = int(np.argmax(dist))
-            if dist[best] < 0:
-                return MacroPlan((), terminated=False)
-        hyp = hyp.extend(best, 0.0, h[0], c[0])
+        pointers = np.append(pointers, [[best]], axis=1)
     log.warning("greedy decode hit the plan length cap")
-    return MacroPlan(hyp.pointers, terminated=False)
+    return MacroPlan(tuple(pointers[0].tolist()), terminated=False)
 
 
 def linearize(specs: list[ParagraphPlanSpec], game: Game) -> list[str]:

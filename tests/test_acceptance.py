@@ -23,12 +23,11 @@ from macroplan.generator import instance_loss as generator_loss
 from macroplan.metrics import (bleu, cs, dl_distance, extract_relations,
                                intrinsic_plan_eval, plan_fidelity,
                                plan_identifiers, rg)
-from macroplan.nn import grad_check, lstm_step
+from macroplan.nn import best_hypothesis, grad_check, lstm_step
 from macroplan.oracle import classify_inning_mention, derive_macro_plan
-from macroplan.planner import (BeamHypothesis, PlannerHyper,
-                               PlannerModel, build_vocab, greedy_plan,
-                               infer_plan, linearize, pointer_step,
-                               train_planner)
+from macroplan.planner import (PlannerHyper, PlannerModel, build_vocab,
+                               greedy_plan, infer_plan, linearize,
+                               pointer_step, train_planner)
 from macroplan.planner import instance_loss as planner_loss
 from macroplan.synth import SynthConfig, synth_league
 from macroplan.verbalize import PARAGRAPH_SEP, verbalize_plan
@@ -499,10 +498,8 @@ def test_ac9_beam_search_invariants(capsys, monkeypatch):
                     cap &= all(seq.count(i) <= 2 for i in set(seq))
     # length normalization: -2.7 over three steps (-0.9/step) beats
     # -2.0 over two (-1.0/step)
-    short = BeamHypothesis((0, 1), -2.0, np.zeros(1), np.zeros(1), True)
-    longer = BeamHypothesis((0, 1, 2), -2.7, np.zeros(1), np.zeros(1), True)
-    ranked = sorted([short, longer], key=lambda b: (-b.score(), b.pointers))
-    norm_ok = ranked[0] is longer
+    norm_ok = best_hypothesis([(-2.0, (0, 1)), (-2.7, (0, 1, 2))]) == \
+        (0, 1, 2)
     _report(capsys, "AC9 beam-search invariants",
             agree and blocking and cap and norm_ok,
             "beam1==greedy on 20 seeds; blocking, cap, length norm hold")

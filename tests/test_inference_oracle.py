@@ -7,7 +7,7 @@ a dictionary over the whole vocabulary sorted per hypothesis.  The new
 searches must return exactly what they return.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -19,14 +19,25 @@ from macroplan.generator import (BOS, EOS, UNK, GeneratorHyper,
                                  build_gen_vocab, decode_step, encode_plan,
                                  generate)
 from macroplan.nn import ParamStore, lstm_step
-from macroplan.planner import (BeamHypothesis, MacroPlan,
-                               PlannerHyper, PlannerModel, _forward_reps,
-                               _reps_with_eom, build_vocab, greedy_plan,
-                               infer_plan, pointer_step)
+from macroplan.planner import (MacroPlan, PlannerHyper, PlannerModel,
+                               _forward_reps, _reps_with_eom, build_vocab,
+                               greedy_plan, infer_plan, pointer_step)
 from macroplan.verbalize import strip_marker
 
 # ---------------------------------------------------------------------------
 # Oracles: the tape-based searches
+
+
+@dataclass
+class BeamHypothesis:
+    """One hypothesis of the oracle planner search."""
+    pointers: tuple[int, ...]
+    logprob: float
+    h: np.ndarray
+    c: np.ndarray
+
+    def score(self) -> float:
+        return self.logprob / max(len(self.pointers), 1)
 
 
 def _has_blocked_bigram(prefix, nxt):

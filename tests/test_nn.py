@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from macroplan.autodiff import ShapeError, Tape
 from macroplan.nn import (ADAGRAD_EPS, GRAD_CLIP, ParamStore, adagrad_step,
-                          bilstm_encode, grad_check, load_params, lstm_step,
+                          best_hypothesis, bilstm_encode, grad_check,
+                          load_params, lstm_step, rank_expansions,
                           save_params)
 
 
@@ -174,6 +176,56 @@ class TestGradCheck:
             return tape.sum(tape.tanh(store.t("w")))
 
         assert grad_check(loss_fn, store) > 1e-2
+
+
+#: log probs drawn from three values, so that exact ties are common
+TIED_LOGP = st.sampled_from([-0.5, -1.0, -2.0])
+
+
+@st.composite
+def beams_and_expansions(draw):
+    """Distinct histories of one length, and distinct (parent, token)
+    expansions of them with their log probs."""
+    length = draw(st.integers(0, 3))
+    histories = draw(st.lists(
+        st.tuples(*[st.integers(0, 2)] * length),
+        min_size=1, max_size=1 if length == 0 else 5, unique=True))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, len(histories) - 1), st.integers(0, 3)),
+        min_size=1, max_size=12, unique=True))
+    logp = [draw(TIED_LOGP) for _ in pairs]
+    return histories, pairs, logp
+
+
+class TestBeamRanking:
+    @given(beams_and_expansions(), st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_rank_expansions_sorts_as_tuples(self, drawn, width):
+        histories, pairs, logp = drawn
+        rank = np.array([sorted(histories).index(h) for h in histories])
+        keep, new_rank = rank_expansions(
+            np.array(logp), np.array([p for p, _ in pairs]),
+            np.array([j for _, j in pairs]), rank, width)
+        expanded = [histories[p] + (j,) for p, j in pairs]
+        want = sorted(range(len(pairs)),
+                      key=lambda e: (-logp[e], expanded[e]))[:width]
+        assert keep.tolist() == want
+        kept = [expanded[e] for e in want]
+        assert new_rank.tolist() == [sorted(kept).index(h) for h in kept]
+
+    @given(st.lists(st.tuples(TIED_LOGP, st.lists(st.integers(0, 2),
+                                                   max_size=4).map(tuple)),
+                    min_size=1, max_size=8, unique_by=lambda p: p[1]))
+    @settings(max_examples=200, deadline=None)
+    def test_best_hypothesis_sorts_as_tuples(self, pairs):
+        ranked = sorted(pairs, key=lambda p: (-(p[0] / max(len(p[1]), 1)),
+                                              p[1]))
+        assert best_hypothesis(pairs) == ranked[0][1]
+
+    def test_best_hypothesis_normalizes_length(self):
+        # -2.7 over three steps (-0.9 a step) beats -2.0 over two
+        assert best_hypothesis([(-2.0, (0, 1)), (-2.7, (0, 1, 2))]) == \
+            (0, 1, 2)
 
 
 class TestCheckpoints:

@@ -3,9 +3,8 @@ import pytest
 
 from macroplan.autodiff import NO_GRAD, Tape
 from macroplan.nn import ParamStore, bilstm_encode
-from macroplan.planner import (BeamHypothesis, PlannerHyper,
-                               PlannerModel, _allowed, _trie, build_vocab,
-                               contextualize, encode_candidates,
+from macroplan.planner import (PlannerHyper, PlannerModel, _allowed, _trie,
+                               build_vocab, contextualize, encode_candidates,
                                greedy_plan, infer_plan, instance_loss,
                                linearize, pointer_step, train_planner)
 from macroplan.verbalize import ParagraphPlanSpec
@@ -227,15 +226,9 @@ class TestTraining:
             assert np.array_equal(p.data, m2.store[name].data)
 
 
-def _hyp(*pointers):
-    hyp = BeamHypothesis((), 0.0, None, None)
-    for i in pointers:
-        hyp = hyp.extend(i, 0.0, None, None)
-    return hyp
-
-
-def _is_blocked(prefix, nxt, k=5):
-    return not _allowed([_hyp(*prefix)], k, unigram_cap=False)[0, nxt]
+def _is_blocked(prefix, nxt, k=5, unigram_cap=False):
+    return not _allowed(np.array([prefix], dtype=np.int64), k,
+                        unigram_cap)[0, nxt]
 
 
 class TestBigramBlocking:
@@ -248,6 +241,18 @@ class TestBigramBlocking:
     def test_fresh_bigram_allowed(self):
         assert not _is_blocked((1, 2, 1), 3)
         assert not _is_blocked((1, 2), 1)
+
+    def test_unigram_cap_blocks_a_third_use(self):
+        assert _is_blocked((1, 2, 1, 3), 1, unigram_cap=True)
+        assert not _is_blocked((1, 2, 1, 3), 2, unigram_cap=True)
+        assert not _is_blocked((1, 2, 1, 3), 1)
+
+    @pytest.mark.parametrize("cap", [False, True])
+    def test_rows_are_independent(self, cap):
+        histories = np.array([[1, 2, 1, 3], [0, 0, 4, 0], [3, 1, 3, 1]])
+        one_at_a_time = np.concatenate(
+            [_allowed(row[None, :], 5, cap) for row in histories])
+        assert np.array_equal(_allowed(histories, 5, cap), one_at_a_time)
 
 
 class TestInference:
