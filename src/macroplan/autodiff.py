@@ -80,10 +80,7 @@ class Tape:
             elif b.data.ndim == 1:          # (B,n) @ (n,) -> (B,)
                 a.accum(np.outer(g, b.data))
                 b.accum(a.data.T @ g)
-            elif a.data.ndim == b.data.ndim == 2:   # (B,n) @ (n,m) -> (B,m)
-                a.accum(g @ b.data.T)
-                b.accum(_sum_tn(a.data, g))
-            else:                           # (K,p,n) @ (K,n,m) -> (K,p,m)
+            else:       # (B,n) @ (n,m) -> (B,m), (K,p,n) @ (K,n,m) -> (K,p,m)
                 a.accum(g @ NoGrad.transpose(b.data))
                 b.accum(NoGrad.transpose(a.data) @ g)
         self._record(out, backward)
@@ -275,8 +272,8 @@ class Tape:
         :meth:`NoGrad.lstm_sequence` does, so training's values are
         inference's to the bit.  The backward runs the steps in reverse for
         each dz, summing each row's carried dh and dc into its parent, then
-        takes W's gradient as products over the stacked [x;h] (see
-        :func:`_sum_tn`), b's as one sum and the inputs' as one product."""
+        takes W's gradient as one product over the stacked [x;h], b's as
+        one sum and the inputs' as one product."""
         n_in = xs[0].data.shape[-1]
         h, c = h0.data, c0.data
         hs, saved = [], []
@@ -308,7 +305,7 @@ class Tape:
                 dzs.append(dz.reshape(-1, dz.shape[-1]))
             xh = np.concatenate([s[0] for s in saved])
             dz = np.concatenate(dzs[::-1])
-            W.accum(_sum_tn(xh, dz))
+            W.accum(xh.T @ dz)
             b.accum(dz.sum(axis=0))
             dx = dz @ W.data[:n_in].T
             lo = 0
@@ -418,21 +415,6 @@ def _lstm_backward(dh, dc, c, ifo, g, tc):
     difo *= 1.0 - ifo
     np.multiply(dc * i, 1.0 - g * g, out=dz[..., 3 * hidden:])
     return dz, dc * f
-
-
-#: rows per block of :func:`_sum_tn`: OpenBLAS rounds ``A.T @ B`` over this
-#: many rows or fewer the same at 1 and 2 threads, and over more it need not
-SUM_BLOCK = 384
-
-
-def _sum_tn(a, b):
-    """``a.T @ b`` for (n, p) and (n, q) arrays, as the sum of the products
-    over consecutive blocks of at most :data:`SUM_BLOCK` rows, taken in row
-    order, so that its bytes do not depend on the BLAS thread count."""
-    out = a[:SUM_BLOCK].T @ b[:SUM_BLOCK]
-    for lo in range(SUM_BLOCK, a.shape[0], SUM_BLOCK):
-        out += a[lo:lo + SUM_BLOCK].T @ b[lo:lo + SUM_BLOCK]
-    return out
 
 
 def _sum_rows(index, g, rows: int):

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .data import Game, SummaryDoc, numeric_value, split_sentences
-from .oracle import derive_macro_plan, match_entities
+from .oracle import derive_macro_plan, match_entities, phrase_index
 from .verbalize import ParagraphPlanSpec
 
 __all__ = [
@@ -96,9 +96,10 @@ def extract_relations(summary: SummaryDoc, game: Game) -> list[Relation]:
     the nearest kind-compatible cue word.  Textual order, duplicates kept;
     numbers with no entity or no compatible cue contribute nothing."""
     relations: list[Relation] = []
+    index = phrase_index(game)
     for paragraph in summary.paragraphs:
         for sentence in split_sentences(list(paragraph)):
-            mentions = match_entities(sentence, game)
+            mentions = match_entities(sentence, index)
             if not mentions:
                 continue
             covered = set()

@@ -18,6 +18,7 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "EntityMention",
+    "phrase_index",
     "match_entities",
     "classify_inning_mention",
     "resolve_half",
@@ -74,8 +75,9 @@ def _player_volume(rec) -> float:
     return 0.0
 
 
-def _build_phrase_index(game: Game):
-    """phrase (token tuple) -> best entity name, longest-match ready."""
+def phrase_index(game: Game) -> dict[tuple[str, ...], str]:
+    """phrase (token tuple) -> best entity name, longest-match ready: what
+    :func:`match_entities` scans a paragraph of ``game`` against."""
     candidates: dict[tuple[str, ...], list[tuple[float, str]]] = {}
 
     def add(phrase: tuple[str, ...], priority: float, name: str):
@@ -95,10 +97,11 @@ def _build_phrase_index(game: Game):
     return index
 
 
-def match_entities(paragraph: list[str], game: Game) -> list[EntityMention]:
-    """Longest-match scan over token n-grams against entity names and player
-    surnames; one mention per entity, first occurrence."""
-    index = _build_phrase_index(game)
+def match_entities(paragraph: list[str],
+                   index: dict[tuple[str, ...], str]) -> list[EntityMention]:
+    """Longest-match scan over token n-grams against a game's
+    :func:`phrase_index` of entity names and player surnames; one mention
+    per entity, first occurrence."""
     max_len = max((len(p) for p in index), default=0)
     mentions: list[EntityMention] = []
     seen: set[str] = set()
@@ -222,9 +225,10 @@ def derive_macro_plan(game: Game):
     """One ParagraphPlanSpec per summary paragraph, in paragraph order.
     Paragraphs matching nothing are dropped with a warning."""
     specs: list[ParagraphPlanSpec] = []
+    index = phrase_index(game)
     for p_idx, paragraph in enumerate(game.summary.paragraphs):
         paragraph = list(paragraph)
-        mentions = match_entities(paragraph, game)
+        mentions = match_entities(paragraph, index)
 
         event_refs: list[tuple[int, str]] = []
         if game.kind == "event-rich":

@@ -344,11 +344,13 @@ def infer_plan(candidate_token_seqs, model: PlannerModel, beam_size: int = 5,
     logprob, rank = np.zeros(1), np.zeros(1, dtype=np.int64)
     h, c = dec.h0, np.zeros_like(dec.h0)
     finished = []                      # (log prob, pointers) of each EOM
-    for _step in range(MAX_PLAN_LEN + 1):
+    while True:
         h, c, dist = dec.step(pointers, h, c)
         logp = logprob[:, None] + np.log(np.maximum(dist, 1e-300))
         if pointers.shape[1]:
             finished += zip(logp[:, k].tolist(), map(tuple, pointers.tolist()))
+        if pointers.shape[1] == MAX_PLAN_LEN:
+            break
         allowed = _allowed(pointers, k, unigram_cap)
         if not allowed.any():
             break
@@ -363,13 +365,7 @@ def infer_plan(candidate_token_seqs, model: PlannerModel, beam_size: int = 5,
         parent = cand // k
         pointers = np.column_stack([pointers[parent], cand % k])
         logprob, h, c = flat[cand], h[parent], c[parent]
-
-    terminated = bool(finished)
-    if not terminated:
-        log.warning("beam search exhausted without EOM; returning best "
-                    "unfinished hypothesis")
-        finished = zip(logprob.tolist(), map(tuple, pointers.tolist()))
-    return MacroPlan(best_hypothesis(finished), terminated=terminated)
+    return MacroPlan(best_hypothesis(finished))
 
 
 def greedy_plan(candidate_token_seqs, model: PlannerModel,

@@ -1,3 +1,5 @@
+# first, so that the package pins the BLAS to one thread before numpy loads
+import macroplan  # noqa: F401
 import numpy as np
 import pytest
 

@@ -356,3 +356,30 @@ def test_main_cli_smoke(tmp_path, capsys):
                "--out", str(tmp_path / "work")])
     assert rc == 0
     assert (tmp_path / "work" / "games.jsonl").exists()
+
+
+# two event-free games of 150 candidates each: the planner's 150 x 150
+# contextualizer products round differently at 1 and 2 BLAS threads, so
+# the two runs agree only if the package pins the BLAS to one thread
+THREADS_CONFIG = {"kind": "event-free", "games": 2, "holdout": 1,
+                  "batters_per_team": 6, "planner_epochs": 1,
+                  "planner_hidden": 64, "planner_emb": 32}
+
+
+def _manifest_at(threads: int, cfg_path: Path, out: Path) -> bytes:
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    for stage in ("synth", "derive-plans", "train-planner", "plan"):
+        subprocess.run([sys.executable, "-m", "macroplan.cli", stage,
+                        "--config", str(cfg_path), "--out", str(out)],
+                       env=env, capture_output=True, check=True)
+    return (out / "manifest.json").read_bytes()
+
+
+def test_same_manifest_at_one_and_two_blas_threads(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(THREADS_CONFIG))
+    one = _manifest_at(1, cfg_path, tmp_path / "one")
+    assert one == _manifest_at(2, cfg_path, tmp_path / "two")

@@ -12,11 +12,6 @@ trie encoder's rows must lie within 1e-12 of it and its gradients within
 1e-9 relative.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -345,49 +340,3 @@ def test_trie_encoder_matches_bucketed_reference(id_seqs):
     assert new.keys() == old.keys()
     for name in old:
         assert _rel_err(new[name], old[name]) <= 1e-9, name
-
-
-# ---------------------------------------------------------------------------
-# The sequence op's gradient at 1 and 2 BLAS threads
-
-
-TREE_GRADIENTS = """
-import hashlib
-import numpy as np
-from macroplan.autodiff import Tape
-
-rng = np.random.default_rng(0)
-# a tree of 8, 64, 200 and 300 rows: 572 stacked rows in W's gradient
-widths = [8, 64, 200, 300]
-parents = [np.zeros(8, dtype=np.int64)] + [
-    np.sort(rng.integers(0, prev, size=n)) for prev, n in
-    zip(widths, widths[1:])]
-tape = Tape()
-xs = [tape.tensor(rng.normal(size=(n, 64))) for n in widths]
-h0, c0 = (tape.tensor(rng.normal(size=(1, 64))) for _ in range(2))
-W = tape.tensor(rng.normal(size=(128, 256)) * 0.1)
-b = tape.tensor(np.zeros(256))
-hs, c = tape.lstm_sequence(xs, h0, c0, W, b, parents)
-loss = tape.sum(tape.mul(c, tape.tensor(rng.normal(size=c.shape))))
-for h in hs:
-    loss = tape.add(loss, tape.sum(tape.mul(
-        h, tape.tensor(rng.normal(size=h.shape)))))
-tape.backward(loss)
-for t in [W, b, h0, c0] + xs:
-    print(hashlib.sha256(t.grad.tobytes()).hexdigest())
-"""
-
-
-def _tree_gradient_hashes(threads: int) -> str:
-    env = dict(os.environ, PYTHONPATH=str(Path(nn.__file__).parents[1]))
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = str(threads)
-    return subprocess.run([sys.executable, "-c", TREE_GRADIENTS], env=env,
-                          capture_output=True, text=True,
-                          check=True).stdout
-
-
-def test_tree_gradients_equal_at_one_and_two_blas_threads():
-    one = _tree_gradient_hashes(1)
-    assert len(one.split()) == 8
-    assert one == _tree_gradient_hashes(2)

@@ -4,20 +4,22 @@ import pytest
 
 from macroplan.oracle import (ORDINAL_WORDS, classify_inning_mention,
                               derive_macro_plan, find_inning_mentions,
-                              match_entities, resolve_half)
+                              match_entities, phrase_index, resolve_half)
 
 
 class TestMatchEntities:
     def test_full_name(self, demo_game):
-        m = match_entities(["C.Mullins", "homered", "."], demo_game)
+        m = match_entities(["C.Mullins", "homered", "."],
+                           phrase_index(demo_game))
         assert [x.entity for x in m] == ["C.Mullins"]
 
     def test_surname(self, demo_game):
-        m = match_entities(["Keller", "pitched", "."], demo_game)
+        m = match_entities(["Keller", "pitched", "."], phrase_index(demo_game))
         assert [x.entity for x in m] == ["B.Keller"]
 
     def test_duplicate_mention_collapsed(self, demo_game):
-        m = match_entities(["Keller", "then", "Keller"], demo_game)
+        m = match_entities(["Keller", "then", "Keller"],
+                           phrase_index(demo_game))
         assert len(m) == 1
         assert m[0].token_span == (0, 1)
 
@@ -31,12 +33,13 @@ class TestMatchEntities:
         game = dataclasses.replace(
             demo_game, events=(),
             entities=demo_game.entities[:2] + (b1, b2) + demo_game.entities[5:])
-        m = match_entities(["Smith", "starred"], game)
+        m = match_entities(["Smith", "starred"], phrase_index(game))
         assert [x.entity for x in m] == ["A.Smith"]  # AB 5 beats AB 1
 
     def test_longest_match_preferred(self, demo_game):
         # "C.Mullins" as one token must not shadow scanning of other names
-        m = match_entities(["C.Mullins", "and", "T.Mancini"], demo_game)
+        m = match_entities(["C.Mullins", "and", "T.Mancini"],
+                           phrase_index(demo_game))
         assert [x.entity for x in m] == ["C.Mullins", "T.Mancini"]
 
 
@@ -92,7 +95,7 @@ class TestResolveHalf:
 
     def test_participant_count_decides(self, demo_game):
         m = match_entities(["C.Mullins", "homered", "off", "Keller"],
-                           demo_game)
+                           phrase_index(demo_game))
         assert resolve_half(1, m, demo_game) == "B"
 
     def test_absent_inning_rejected(self, demo_game):
