@@ -1,10 +1,14 @@
 """Minimal reverse-mode autodiff on dense float64 numpy arrays.
 
 A Tape records backward closures as ops execute; ``Tape.backward`` replays
-them in reverse.  Ops support 1-D vectors and 2-D (batch, dim) arrays; the
-ones the candidate encoder pools with (``gather_rows``, ``add``,
-``softmax``, ``transpose``, ``matmul`` of two stacks and ``sum``) also take
-a 3-D (batch, position, dim) stack.
+them in reverse.
+
+Every activation is a stack of rows, (B, width), with B = 1 for one
+hypothesis or one step: ``row`` keeps its axis, ``concat(axis=0)`` stacks
+rows, and ``matmul`` refuses an operand of fewer than two axes.  Biases are
+1-D or 0-D and broadcast, and a loss is 0-D.  The ops the candidate encoder
+pools with (``gather_rows``, ``add``, ``softmax``, ``transpose``, ``matmul``
+of two stacks and ``sum``) also take a 3-D (batch, position, dim) stack.
 
 ``NO_GRAD`` evaluates the same ops, the subset the models use, on plain
 arrays and records nothing.  The models' forward functions take a tape or
@@ -63,6 +67,10 @@ class Tape:
     # --- primitive ops ----------------------------------------------------
 
     def matmul(self, a: "Tensor", b: "Tensor") -> "Tensor":
+        """(B,n) @ (n,m) -> (B,m), or (K,p,n) @ (K,n,m) -> (K,p,m)."""
+        if a.data.ndim < 2 or b.data.ndim < 2:
+            raise ShapeError(f"matmul: {a.data.shape} x {b.data.shape}: "
+                             "each operand needs two axes or more")
         try:
             out = Tensor(a.data @ b.data, self)
         except ValueError:
@@ -70,19 +78,8 @@ class Tape:
                              f"x {b.data.shape}") from None
 
         def backward():
-            g = out.grad
-            if a.data.ndim == 1 and b.data.ndim == 1:
-                a.accum(g * b.data)
-                b.accum(g * a.data)
-            elif a.data.ndim == 1:          # (n,) @ (n,m) -> (m,)
-                a.accum(b.data @ g)
-                b.accum(np.outer(a.data, g))
-            elif b.data.ndim == 1:          # (B,n) @ (n,) -> (B,)
-                a.accum(np.outer(g, b.data))
-                b.accum(a.data.T @ g)
-            else:       # (B,n) @ (n,m) -> (B,m), (K,p,n) @ (K,n,m) -> (K,p,m)
-                a.accum(g @ NoGrad.transpose(b.data))
-                b.accum(NoGrad.transpose(a.data) @ g)
+            a.accum(out.grad @ NoGrad.transpose(b.data))
+            b.accum(NoGrad.transpose(a.data) @ out.grad)
         self._record(out, backward)
         return out
 
@@ -92,15 +89,6 @@ class Tape:
         def backward():
             a.accum(_unbroadcast(out.grad, a.data.shape))
             b.accum(_unbroadcast(out.grad, b.data.shape))
-        self._record(out, backward)
-        return out
-
-    def sub(self, a: "Tensor", b: "Tensor") -> "Tensor":
-        out = Tensor(a.data - b.data, self)
-
-        def backward():
-            a.accum(_unbroadcast(out.grad, a.data.shape))
-            b.accum(-_unbroadcast(out.grad, b.data.shape))
         self._record(out, backward)
         return out
 
@@ -182,16 +170,6 @@ class Tape:
         self._record(out, backward)
         return out
 
-    def stack_rows(self, rows: list["Tensor"]) -> "Tensor":
-        """Stack 1-D tensors of equal length into a 2-D (len(rows), n) tensor."""
-        out = Tensor(np.stack([r.data for r in rows]), self)
-
-        def backward():
-            for i, r in enumerate(rows):
-                r.accum(out.grad[i])
-        self._record(out, backward)
-        return out
-
     def _index(self, a: "Tensor", key) -> "Tensor":
         """``a[key]`` for a basic-index ``key``."""
         out = Tensor(a.data[key], self)
@@ -202,7 +180,8 @@ class Tape:
         return self._index(a, (Ellipsis, slice(start, stop)))
 
     def row(self, a: "Tensor", i: int) -> "Tensor":
-        return self._index(a, i)
+        """Row ``i`` of ``a`` as a one-row stack."""
+        return self._index(a, slice(i, i + 1))
 
     def gather_rows(self, table: "Tensor", indices) -> "Tensor":
         """``table[indices]`` for an int array ``indices`` of any shape."""
@@ -241,12 +220,14 @@ class Tape:
         return out
 
     def mean(self, a: "Tensor", axis=None) -> "Tensor":
-        n = a.data.size if axis is None else a.data.shape[axis]
-        return self.scale(self.sum(a, axis=axis), 1.0 / n)
-
-    def pick(self, a: "Tensor", index) -> "Tensor":
-        """Select a single element (scalar output)."""
-        return self._index(a, index)
+        """The mean along ``axis``, kept as an axis of one (the mean row of
+        a stack, for ``axis=0``), or of every element as 0-D."""
+        k = 1.0 / (a.data.size if axis is None else a.data.shape[axis])
+        out = Tensor(np.sum(a.data, axis=axis, keepdims=axis is not None) * k,
+                     self)
+        self._record(out, lambda: a.accum(
+            np.broadcast_to(out.grad * k, a.data.shape)))
+        return out
 
     def neg(self, a: "Tensor") -> "Tensor":
         return self.scale(a, -1.0)
@@ -282,7 +263,7 @@ class Tape:
                 h, c = h[parents[t]], c[parents[t]]
             xh = np.concatenate([x.data, h], axis=-1)
             h, c_new, ifo, g, tc = _lstm_forward(xh, c, W.data, b.data)
-            saved.append((xh.reshape(-1, xh.shape[-1]), c, ifo, g, tc))
+            saved.append((xh, c, ifo, g, tc))
             hs.append(Tensor(h, self))
             c = c_new
         c_out = Tensor(c, self)
@@ -302,7 +283,7 @@ class Tape:
                 if parents is not None:
                     rows = (hs[t - 1] if t else h0).data.shape[0]
                     dh, dc = (_sum_rows(parents[t], a, rows) for a in (dh, dc))
-                dzs.append(dz.reshape(-1, dz.shape[-1]))
+                dzs.append(dz)
             xh = np.concatenate([s[0] for s in saved])
             dz = np.concatenate(dzs[::-1])
             W.accum(xh.T @ dz)
@@ -310,8 +291,8 @@ class Tape:
             dx = dz @ W.data[:n_in].T
             lo = 0
             for x in xs:
-                hi = lo + (x.data.size // n_in)
-                x.accum(dx[lo:hi].reshape(x.data.shape))
+                hi = lo + x.data.shape[0]
+                x.accum(dx[lo:hi])
                 lo = hi
             h0.accum(dh)
             c0.accum(dc)
@@ -330,7 +311,6 @@ class NoGrad:
     add = staticmethod(np.add)
     mul = staticmethod(np.multiply)
     tanh = staticmethod(np.tanh)
-    stack_rows = staticmethod(np.stack)
     sum = staticmethod(np.sum)
 
     @staticmethod
@@ -339,7 +319,7 @@ class NoGrad:
 
     @staticmethod
     def transpose(a):
-        return np.swapaxes(a, -1, -2)
+        return a.swapaxes(-1, -2)
 
     @staticmethod
     def sigmoid(a):
@@ -362,7 +342,7 @@ class NoGrad:
 
     @staticmethod
     def row(a, i: int):
-        return a[i]
+        return a[i:i + 1]
 
     @staticmethod
     def gather_rows(table, indices):

@@ -72,7 +72,7 @@ class GeneratorModel:
         store.create("b_comb", (n,), rng, init="zeros")
         store.create("W_out", (n, v), rng)
         store.create("b_out", (v,), rng, init="zeros")
-        store.create("w_copy", (n,), rng)
+        store.create("w_copy", (n, 1), rng)
         store.create("b_copy", (), rng, init="zeros")
         return GeneratorModel(store, vocab, hyper)
 
@@ -96,7 +96,7 @@ def build_gen_vocab(pairs) -> dict[str, int]:
 
 def encode_plan(tape: Tape | NoGrad, model: GeneratorModel,
                 plan_ids: list[int]):
-    """Returns (encoder states (L, n), initial decoder h, initial c)."""
+    """Returns (encoder states (L, n), initial decoder h and c, (1, n))."""
     if not plan_ids:
         raise ValueError("cannot encode an empty plan")
     store = model.store
@@ -106,11 +106,11 @@ def encode_plan(tape: Tape | NoGrad, model: GeneratorModel,
         tape, inputs, tape.param(store, "enc_f.W"),
         tape.param(store, "enc_f.b"), tape.param(store, "enc_b.W"),
         tape.param(store, "enc_b.b"), model.hyper.hidden)
-    S = tape.stack_rows(states)
+    S = tape.concat(states, axis=0)
     hidden = model.hyper.hidden
     fwd_last = tape.slice_last(states[-1], 0, hidden)
     bwd_first = tape.slice_last(states[0], hidden, 2 * hidden)
-    h0 = tape.tanh(tape.matmul(tape.concat([fwd_last, bwd_first], axis=0),
+    h0 = tape.tanh(tape.matmul(tape.concat([fwd_last, bwd_first], axis=-1),
                                tape.param(store, "W_init")))
     c0 = tape.zeros(h0.shape)
     return S, h0, c0
@@ -118,8 +118,9 @@ def encode_plan(tape: Tape | NoGrad, model: GeneratorModel,
 
 def decode_step(tape: Tape | NoGrad, model: GeneratorModel, S, h):
     """Attention over the plan states ``S`` and the combination layer, given
-    the decoder state ``h`` of one hypothesis ((n,)) or a stack of them
-    ((B, n)).  Returns (combined state, attention weights)."""
+    the (B, n) decoder states ``h``, B = 1 for one hypothesis or one
+    training step.  Returns (combined states (B, n), attention weights
+    (B, L))."""
     store = model.store
     logits = tape.matmul(tape.matmul(h, tape.param(store, "W_att")),
                          tape.transpose(S))
@@ -132,7 +133,7 @@ def decode_step(tape: Tape | NoGrad, model: GeneratorModel, S, h):
 
 
 def _output_dists(tape: Tape | NoGrad, model: GeneratorModel, comb):
-    """Vocabulary distribution and copy-gate probability."""
+    """Vocabulary distribution (B, V) and copy-gate probability (B, 1)."""
     store = model.store
     p_gen = tape.softmax(tape.add(tape.matmul(comb, tape.param(store, "W_out")),
                                   tape.param(store, "b_out")), axis=-1)
@@ -148,8 +149,9 @@ def _surfaces(plan_tokens: list[str]) -> list[str]:
 
 
 def _copy_mask(surfaces: list[str], target: str) -> np.ndarray:
-    """1.0 at plan positions whose surface equals ``target``."""
-    return np.array([1.0 if s == target else 0.0 for s in surfaces])
+    """(L, 1) column, 1.0 at plan positions whose surface equals
+    ``target``."""
+    return np.array([[1.0 if s == target else 0.0] for s in surfaces])
 
 
 def instance_loss(tape: Tape, model: GeneratorModel, plan_tokens: list[str],
@@ -181,14 +183,15 @@ def instance_loss(tape: Tape, model: GeneratorModel, plan_tokens: list[str],
         for h_t, target in zip(hs, targets[start:start + trunc]):
             comb, alpha = decode_step(tape, model, S, h_t)
             p_gen, p_copy = _output_dists(tape, model, comb)
-            gen_p = tape.pick(p_gen, model.token_id(target))
+            token = model.token_id(target)
+            gen_p = tape.slice_last(p_gen, token, token + 1)
             mask = _copy_mask(surfaces, target)
             copy_p = tape.matmul(alpha, tape.tensor(mask))
             keep = tape.add_const(tape.neg(p_copy), 1.0)
             p = tape.add(tape.mul(keep, gen_p), tape.mul(p_copy, copy_p))
             step_loss = tape.neg(tape.log(tape.add_const(p, 1e-12)))
             loss = step_loss if loss is None else tape.add(loss, step_loss)
-    return loss
+    return tape.sum(loss)                       # 0-D, as fit reads it
 
 
 def train_generator(pairs, hyper: GeneratorHyper
@@ -236,14 +239,16 @@ class _ExtendedVocab:
 
     def mix(self, p_gen: np.ndarray, p_copy: np.ndarray,
             alpha: np.ndarray) -> np.ndarray:
-        """(B, surfaces) generate/copy mixture: ``(1-pc) * p_gen`` scattered
-        into place, then the copy mass added in plan position order."""
+        """(B, surfaces) generate/copy mixture of the (B, V) ``p_gen``, the
+        (B, 1) ``p_copy`` and the (B, L) ``alpha``: ``(1-pc) * p_gen``
+        scattered into place, then the copy mass added in plan position
+        order."""
         dist = np.zeros((p_gen.shape[0], len(self.surfaces)))
-        gen = (1.0 - p_copy)[:, None] * p_gen
+        gen = (1.0 - p_copy) * p_gen
         dist[:, self.gen_dst] = gen[:, self.gen_src]
         rows = np.arange(p_gen.shape[0])[:, None]
         np.add.at(dist, (rows, self.copy_dst[None, :]),
-                  p_copy[:, None] * alpha[:, self.copy_pos])
+                  p_copy * alpha[:, self.copy_pos])
         return dist
 
 
@@ -268,7 +273,7 @@ def generate(plan_tokens: list[str], model: GeneratorModel,
 
     tokens = np.zeros((1, 0), dtype=np.int64)
     logprob, rank = np.zeros(1), np.zeros(1, dtype=np.int64)
-    h, c = h0[None, :], c0[None, :]
+    h, c = h0, c0
     prev = np.array([model.token_id(BOS)])  # decoder input id of each row
     finished = []                      # (log prob, tokens) of each EOS
     for _step in range(model.hyper.max_len):

@@ -104,9 +104,9 @@ def lstm_sequence(tape: Tape | NoGrad, xs: list, h, c, W, b, parents=None):
     """A fused-gate LSTM over the inputs ``xs`` from state (h, c), as one
     tape node; gate order i, f, o, g along the last axis.
 
-    Each input is (B, in) or (in,); ``h``/``c`` match with hidden width H.
-    Under a tape the arguments are its tensors, under ``NO_GRAD`` plain
-    arrays.  Returns (h of each step, last c).
+    Each input is a stack of rows (B, in), B = 1 for one hypothesis, and
+    ``h``/``c`` are (B, H).  Under a tape the arguments are its tensors,
+    under ``NO_GRAD`` plain arrays.  Returns (h of each step, last c).
 
     ``parents``, one int array per step, runs the steps over a tree of
     2-D rows: row r of step t continues from row ``parents[t][r]`` of step
@@ -123,10 +123,11 @@ def lstm_sequence(tape: Tape | NoGrad, xs: list, h, c, W, b, parents=None):
 
 def bilstm_encode(tape: Tape | NoGrad, seq: list, W_f, b_f, W_b, b_b,
                   hidden: int) -> list:
-    """Per-position concat of forward and backward hidden states (width 2H)."""
+    """Per-position concat of forward and backward hidden states, each
+    (B, 2H) for (B, in) inputs."""
     if not seq:
         raise ValueError("bilstm_encode: empty sequence")
-    state_shape = seq[0].shape[:-1] + (hidden,)
+    state_shape = (seq[0].shape[0], hidden)
 
     def run(inputs, W, b):
         return lstm_sequence(tape, inputs, tape.zeros(state_shape),

@@ -74,13 +74,13 @@ class PlannerModel:
         store.create("emb", (len(vocab), hyper.emb_dim), rng)
         store.create_lstm("enc_f", hyper.emb_dim, hyper.hidden, rng)
         store.create_lstm("enc_b", hyper.emb_dim, hyper.hidden, rng)
-        store.create("query_d", (n,), rng)
+        store.create("query_d", (1, n), rng)
         store.create("W_a", (n, n), rng)
         store.create("W_g", (2 * n, n), rng)
         store.create("W_b", (n, n), rng)
         store.create_lstm("dec", n, n, rng)
-        store.create("eom", (n,), rng)
-        store.create("start", (n,), rng)
+        store.create("eom", (1, n), rng)
+        store.create("start", (1, n), rng)
         return PlannerModel(store, vocab, hyper)
 
     def token_ids(self, tokens) -> list[int]:
@@ -169,8 +169,7 @@ def encode_candidates(tape: Tape | NoGrad, model: PlannerModel,
             tape.param(store, f"{name}.W"), tape.param(store, f"{name}.b"),
             parents=parents)
         nodes = tape.concat(hs, axis=0)                          # (N, H)
-        d_half = tape.transpose(tape.stack_rows(
-            [tape.slice_last(d, lo, lo + hidden)]))              # (H, 1)
+        d_half = tape.transpose(tape.slice_last(d, lo, lo + hidden))  # (H, 1)
         # each node's share of the score, once per node
         scores.append(tape.gather_rows(tape.matmul(nodes, d_half), rows))
         states.append(tape.gather_rows(nodes, rows))             # (K, T, H)
@@ -205,15 +204,15 @@ def contextualize(tape: Tape | NoGrad, model: PlannerModel, reps):
 
 def pointer_step(tape: Tape | NoGrad, model: PlannerModel, h,
                  reps_c_with_eom):
-    """Distribution over candidates plus EOM given decoder state ``h``."""
-    logits = tape.matmul(reps_c_with_eom,
-                         tape.matmul(h, tape.param(model.store, "W_b")))
-    return tape.softmax(logits, axis=0)
+    """Distribution over the K candidates plus EOM, (B, K+1), given the
+    (B, n) decoder states ``h``."""
+    logits = tape.matmul(tape.matmul(h, tape.param(model.store, "W_b")),
+                         tape.transpose(reps_c_with_eom))
+    return tape.softmax(logits, axis=-1)
 
 
 def _reps_with_eom(tape: Tape | NoGrad, model: PlannerModel, reps_c):
-    eom_row = tape.stack_rows([tape.param(model.store, "eom")])
-    return tape.concat([reps_c, eom_row], axis=0)
+    return tape.concat([reps_c, tape.param(model.store, "eom")], axis=0)
 
 
 def _forward_reps(tape: Tape | NoGrad, model: PlannerModel, id_seqs):
@@ -233,7 +232,7 @@ def instance_loss(tape: Tape, model: PlannerModel, id_seqs,
     reps_c = _forward_reps(tape, model, id_seqs)
     all_reps = _reps_with_eom(tape, model, reps_c)
     k = len(id_seqs)
-    h = tape.mean(reps_c, axis=0)
+    h = tape.mean(reps_c, axis=0)                               # (1, n)
     # teacher forcing: every decoder input is known before the recurrence
     xs = [tape.param(store, "start")] + [tape.row(reps_c, target)
                                          for target in pointer_seq]
@@ -243,7 +242,7 @@ def instance_loss(tape: Tape, model: PlannerModel, id_seqs,
     loss = None
     for h, target in zip(hs, list(pointer_seq) + [k]):
         dist = pointer_step(tape, model, h, all_reps)
-        step_loss = tape.nll_pick(dist, target)
+        step_loss = tape.nll_pick(dist, (0, target))
         loss = step_loss if loss is None else tape.add(loss, step_loss)
     return loss
 
@@ -292,11 +291,12 @@ def _allowed(pointers: np.ndarray, k: int, unigram_cap: bool) -> np.ndarray:
 class _PointerDecoder:
     """Pointer decoding for one game, under ``NO_GRAD``.
 
-    Each hypothesis takes its own matrix-vector products rather than one
-    row of a stacked product, whose rounding depends on the row's place in
-    the stack: candidates that encode alike (names outside the vocabulary
-    all read as ``<unk>``) must tie exactly, so that the pointer order, not
-    the rounding, breaks the tie.  Duplicate candidates share their trie
+    Each hypothesis takes its own products, on its one-row (1, n) slice of
+    the beam's states, rather than one row of a stacked product, whose
+    rounding depends on the row's place in the stack and the stack's size:
+    candidates that encode alike (names outside the vocabulary all read as
+    ``<unk>``) must tie exactly, so that the pointer order, not the
+    rounding, breaks the tie.  Duplicate candidates share their trie
     nodes in :func:`encode_candidates`, so their encoded rows are equal to
     the bit.  :func:`contextualize` can still part them in the last bits:
     each row leaves out itself, at its own place in the sums."""
@@ -312,20 +312,22 @@ class _PointerDecoder:
         self.W = NO_GRAD.param(store, "dec.W")
         self.b = NO_GRAD.param(store, "dec.b")
         #: the root beam: no pointers, h the mean candidate, c zero
-        self.h0 = self.reps_c.mean(axis=0)[None, :]
+        self.h0 = self.reps_c.mean(axis=0, keepdims=True)
 
     def step(self, pointers: np.ndarray, h: np.ndarray, c: np.ndarray):
         """New (h, c) and the distribution over candidates plus EOM, one row
         per row of the (B, t) ``pointers`` and their (B, n) states."""
-        xs = self.reps_c[pointers[:, -1]] if pointers.shape[1] \
-            else [self.start] * len(h)
+        # only the root beam, one row, has no pointers yet
+        xs = self.reps_c[pointers[:, -1]] if pointers.shape[1] else self.start
         hs, cs, dists = [], [], []
-        for x, h_b, c_b in zip(xs, h, c):
-            h_b, c_b = lstm_step(NO_GRAD, x, h_b, c_b, self.W, self.b)
+        for i in range(len(h)):
+            h_b, c_b = lstm_step(NO_GRAD, xs[i:i + 1], h[i:i + 1], c[i:i + 1],
+                                 self.W, self.b)
             hs.append(h_b)
             cs.append(c_b)
             dists.append(pointer_step(NO_GRAD, self.model, h_b, self.all_reps))
-        return np.stack(hs), np.stack(cs), np.stack(dists)
+        return (np.concatenate(hs), np.concatenate(cs),
+                np.concatenate(dists))
 
 
 def infer_plan(candidate_token_seqs, model: PlannerModel, beam_size: int = 5,

@@ -118,16 +118,6 @@ class TestBinaryGradients:
         assert np.allclose(ta.grad, ones @ b.T)
         assert np.allclose(tb.grad, a.T @ ones)
 
-    @given(vec(4), mat(4, 3))
-    @settings(max_examples=25, deadline=None)
-    def test_vec_matmul(self, a, b):
-        tape = Tape()
-        ta, tb = tape.tensor(a.copy()), tape.tensor(b.copy())
-        tape.backward(tape.sum(tape.matmul(ta, tb)))
-        ones = np.ones(3)
-        assert np.allclose(ta.grad, b @ ones)
-        assert np.allclose(tb.grad, np.outer(a, ones))
-
     @given(vec(5), vec(5))
     @settings(max_examples=25, deadline=None)
     def test_mul(self, a, b):
@@ -146,15 +136,6 @@ class TestBinaryGradients:
         assert ta.grad.shape == a.shape
         assert tb.grad.shape == b.shape
         assert np.allclose(tb.grad, 3.0)  # summed over the broadcast rows
-
-    @given(vec(4), vec(4))
-    @settings(max_examples=25, deadline=None)
-    def test_sub(self, a, b):
-        tape = Tape()
-        ta, tb = tape.tensor(a.copy()), tape.tensor(b.copy())
-        tape.backward(tape.sum(tape.sub(ta, tb)))
-        assert np.allclose(ta.grad, 1.0)
-        assert np.allclose(tb.grad, -1.0)
 
 
 class TestSoftmaxProperties:
@@ -182,26 +163,28 @@ class TestSoftmaxProperties:
 
     def test_mask_blocks_gradient(self):
         tape = Tape()
-        x = tape.tensor(np.zeros(3))
-        y = tape.softmax(x, mask=np.array([True, True, False]))
-        tape.backward(tape.pick(y, 0))
-        assert x.grad[2] == pytest.approx(0.0, abs=1e-12)
+        x = tape.tensor(np.zeros((1, 3)))
+        y = tape.softmax(x, mask=np.array([[True, True, False]]))
+        tape.backward(tape.sum(tape.slice_last(y, 0, 1)))
+        assert x.grad[0, 2] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestStructuralOps:
     def test_concat_routes_gradient(self):
         tape = Tape()
-        a, b = tape.tensor(np.zeros(2)), tape.tensor(np.zeros(3))
+        a, b = tape.tensor(np.zeros((1, 2))), tape.tensor(np.zeros((1, 3)))
         out = tape.concat([a, b])
-        tape.backward(tape.pick(out, 3))
+        tape.backward(tape.sum(tape.slice_last(out, 3, 4)))
         assert np.allclose(a.grad, 0)
-        assert np.allclose(b.grad, [0, 1, 0])
+        assert np.allclose(b.grad, [[0, 1, 0]])
 
-    def test_stack_rows_and_row(self):
+    def test_concat_rows_and_row(self):
         tape = Tape()
-        rows = [tape.tensor(np.arange(3, dtype=float)) for _ in range(4)]
-        m = tape.stack_rows(rows)
-        tape.backward(tape.sum(tape.row(m, 2)))
+        rows = [tape.tensor(np.arange(3, dtype=float)[None]) for _ in range(4)]
+        m = tape.concat(rows, axis=0)
+        picked = tape.row(m, 2)
+        assert picked.shape == (1, 3)
+        tape.backward(tape.sum(picked))
         assert rows[2].grad is not None and np.allclose(rows[2].grad, 1.0)
         assert np.allclose(rows[0].grad, 0.0)  # untouched rows get zero
 
@@ -250,6 +233,14 @@ class TestStructuralOps:
         tape.backward(m)
         assert np.allclose(x.grad, 0.25)
 
+    def test_mean_of_rows_is_a_row(self):
+        tape = Tape()
+        x = tape.tensor(np.arange(6, dtype=float).reshape(3, 2))
+        m = tape.mean(x, axis=0)
+        assert np.array_equal(m.data, [[2.0, 3.0]])
+        tape.backward(tape.sum(tape.mul(m, tape.tensor([[1.0, 3.0]]))))
+        assert np.allclose(x.grad, [[1 / 3, 1.0]] * 3)
+
 
 class TestTapeMechanics:
     def test_backward_requires_scalar(self):
@@ -262,6 +253,18 @@ class TestTapeMechanics:
         with pytest.raises(ShapeError):
             tape.matmul(tape.tensor(np.zeros((2, 3))),
                         tape.tensor(np.zeros((4, 2))))
+
+    @pytest.mark.parametrize("a, b", [((3,), (3, 2)), ((2, 3), (3,)),
+                                      ((3,), (3,))],
+                             ids=["vector-left", "vector-right", "both"])
+    def test_matmul_refuses_vectors(self, a, b):
+        # a vector operand fails in the forward pass, naming both shapes,
+        # not later in backward
+        tape = Tape()
+        with pytest.raises(ShapeError) as err:
+            tape.matmul(tape.tensor(np.ones(a)), tape.tensor(np.ones(b)))
+        assert f"{a} x {b}" in str(err.value)
+        assert not tape.nodes
 
     def test_unused_branches_skipped(self):
         # ops whose outputs never feed the loss must not crash backward
@@ -307,7 +310,8 @@ class TestTapeMechanics:
             W = tape.tensor(rng.normal(size=(8, 20)))
             hs, c_last = tape.lstm_sequence(xs, h, c, W,
                                             tape.tensor(np.zeros(20)))
-            loss = tape.sum(tape.add(tape.stack_rows(hs), c_last))
+            loss = tape.add(tape.sum(tape.concat(hs, axis=0)),
+                            tape.sum(c_last))
             outputs = [weakref.ref(t) for t in hs + [c_last, loss]]
             del hs, c_last
             tape.backward(loss)
@@ -414,8 +418,8 @@ def _index_ops():
                  tape.sum(tape.slice_last(x, 1, 4)),
                  tape.sum(tape.mul(tape.row(x, 2), tape.row(x, 3))),
                  tape.sum(tape.row(tape.transpose(x), 0)),
-                 tape.pick(x, (1, 2)),
-                 tape.nll_pick(tape.softmax(tape.row(x, 1)), 4)]
+                 tape.sum(tape.slice_last(tape.row(x, 1), 2, 3)),
+                 tape.nll_pick(tape.softmax(tape.row(x, 1)), (0, 4))]
         total = parts[0]
         for part in parts[1:]:
             total = tape.add(total, part)

@@ -41,7 +41,7 @@ class TestEncodePlan:
         ids = [model.token_id(t) for t in PLAN]
         S, h0, c0 = encode_plan(tape, model, ids)
         assert S.shape == (len(PLAN), TINY.rep_dim)
-        assert h0.shape == (TINY.rep_dim,)
+        assert h0.shape == (1, TINY.rep_dim)
         assert np.allclose(c0.data, 0.0)
         assert np.all(np.abs(h0.data) <= 1.0)  # tanh init
 
@@ -56,20 +56,22 @@ class TestEncodePlan:
 class TestOutputMixture:
     def _forward(self, model, prev=BOS, h=None, c=None):
         """One decoder step on a tape from the plan's initial state, or
-        from ``h``/``c``: (p_gen, p_copy, alpha, h, c)."""
+        from the (n,) ``h``/``c``: the one row of (p_gen, p_copy, alpha, h,
+        c)."""
         tape = Tape()
         model.store.bind(tape)
         ids = [model.token_id(t) for t in PLAN]
         S, h0, c0 = encode_plan(tape, model, ids)
-        h = h0 if h is None else tape.tensor(h)
-        c = c0 if c is None else tape.tensor(c)
+        h = h0 if h is None else tape.tensor([h])
+        c = c0 if c is None else tape.tensor([c])
         store = model.store
         h, c = lstm_step(tape, tape.gather_rows(store.t("emb"),
-                                                model.token_id(prev)),
+                                                [model.token_id(prev)]),
                          h, c, store.t("dec.W"), store.t("dec.b"))
         comb, alpha = decode_step(tape, model, S, h)
         p_gen, p_copy = _output_dists(tape, model, comb)
-        return p_gen.data, float(p_copy.data), alpha.data, h.data, c.data
+        return (p_gen.data[0], float(p_copy.data[0, 0]), alpha.data[0],
+                h.data[0], c.data[0])
 
     def test_gen_dist_normalized(self):
         p_gen, p_copy, alpha, *_ = self._forward(tiny_model())
@@ -80,7 +82,7 @@ class TestOutputMixture:
     def _surface_dist(self, model):
         p_gen, p_copy, alpha, *_ = self._forward(model)
         ext = _ExtendedVocab(model, PLAN)
-        dist = ext.mix(p_gen[None], np.array([p_copy]), alpha[None])[0]
+        dist = ext.mix(p_gen[None], np.array([[p_copy]]), alpha[None])[0]
         return dict(zip(ext.surfaces, dist)), p_gen, p_copy, alpha
 
     def test_surface_mixture_sums_to_one_minus_dropped(self):
@@ -124,11 +126,12 @@ class TestOutputMixture:
                 store["dec.b"].data)
             comb, alpha = decode_step(NO_GRAD, model, S, h)
             p_gen, p_copy = _output_dists(NO_GRAD, model, comb)
-            return list(zip(p_gen, p_copy, alpha, h, c))
+            return list(zip(p_gen, p_copy[:, 0], alpha, h, c))
 
-        [row] = no_grad_step([BOS], [h0], [c0])
+        [row] = no_grad_step([BOS], [h0[0]], [c0[0]])
         assert all(np.array_equal(x, y) for x, y in zip(row, first))
-        rows = no_grad_step([BOS, "Royals"], [h0, first[3]], [c0, first[4]])
+        rows = no_grad_step([BOS, "Royals"], [h0[0], first[3]],
+                            [c0[0], first[4]])
         for row, want in zip(rows, (first, second)):
             assert all(np.allclose(x, y, rtol=1e-12, atol=1e-15)
                        for x, y in zip(row, want))
@@ -137,11 +140,11 @@ class TestOutputMixture:
 class TestCopyMask:
     def test_marker_stripped_match(self):
         mask = _copy_mask(_surfaces(PLAN), "9")
-        assert mask.tolist() == [0, 1, 0, 0, 0]
+        assert mask.tolist() == [[0], [1], [0], [0], [0]]
 
     def test_multiple_positions(self):
         mask = _copy_mask(_surfaces(["<TR>9", "<RBI>9", "x"]), "9")
-        assert mask.tolist() == [1, 1, 0]
+        assert mask.tolist() == [[1], [1], [0]]
 
     def test_no_match(self):
         assert _copy_mask(_surfaces(PLAN), "zebra").sum() == 0

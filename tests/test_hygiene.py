@@ -312,8 +312,6 @@ def test_every_dataclass_field_is_read():
 ORACLES = {
     # AC1: both losses' gradients against central differences
     "grad_check": "tests/test_acceptance.py::test_ac1_gradient_fidelity",
-    # AC1: the gradient of every tape primitive
-    "Tape.sub": "tests/test_acceptance.py::test_ac1_gradient_fidelity",
     # AC3 and AC9: width-1 beam search against stepwise argmax
     "greedy_plan": "tests/test_acceptance.py::test_ac9_beam_search_invariants",
     # AC7: sentence BLEU on hand-computed cases
@@ -444,3 +442,38 @@ def test_oracle_allowlist_is_current():
         or by_label[label].name not in _referenced(node))
     assert not stale, "allowlisted as oracles but missing, reached by a " \
         "stage or not read by the check named: " + ", ".join(stale)
+
+
+#: ``Tape`` methods that record no node of their own
+TAPE_CONSTRUCTION = {"tensor", "zeros", "param", "backward"}
+
+
+def _ac1_reads():
+    """Attribute names AC1's ``primitives`` list reads, directly or through
+    the module-level helpers of its file that it calls."""
+    tree, check = _check(
+        "tests/test_acceptance.py::test_ac1_gradient_fidelity")
+    helpers = {node.name: node for node in tree.body
+               if isinstance(node, FUNCTIONS)}
+    [pending] = [node.value for node in ast.walk(check)
+                 if isinstance(node, ast.Assign)
+                 and [ast.unparse(t) for t in node.targets] == ["primitives"]]
+    pending, seen, attrs = [pending], set(), set()
+    while pending:
+        bare, new_attrs = _reads(pending.pop())
+        attrs |= new_attrs
+        for name in bare & helpers.keys() - seen:
+            seen.add(name)
+            pending.append(helpers[name])
+    return attrs
+
+
+def test_ac1_checks_every_tape_op():
+    tree = ast.parse((ROOT / "src/macroplan/autodiff.py").read_text())
+    [tape] = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "Tape"]
+    ops = {node.name for node in tape.body if isinstance(node, FUNCTIONS)
+           and not node.name.startswith("_")} - TAPE_CONSTRUCTION
+    missing = sorted(ops - _ac1_reads())
+    assert not missing, "Tape ops AC1's primitive gradient checks do not " \
+        "run: " + ", ".join(missing)

@@ -57,7 +57,7 @@ def oracle_infer_plan(candidate_token_seqs, model, beam_size=5,
     all_reps = _reps_with_eom(tape, model, reps_c)
     k = len(id_seqs)
 
-    h0 = reps_c.data.mean(axis=0)
+    h0 = reps_c.data.mean(axis=0, keepdims=True)
     beams = [BeamHypothesis((), 0.0, h0, np.zeros_like(h0))]
     finished = []
     for _step in range(planner_mod.MAX_PLAN_LEN + 1):
@@ -68,7 +68,7 @@ def oracle_infer_plan(candidate_token_seqs, model, beam_size=5,
             h_t, c_t = lstm_step(tape, x, Tensor(hyp.h, tape),
                                  Tensor(hyp.c, tape),
                                  store.t("dec.W"), store.t("dec.b"))
-            dist = pointer_step(tape, model, h_t, all_reps).data
+            dist = pointer_step(tape, model, h_t, all_reps).data[0]
             for i in range(k + 1):
                 logp = hyp.logprob + float(np.log(max(dist[i], 1e-300)))
                 if i == k:
@@ -105,13 +105,13 @@ def oracle_greedy_plan(candidate_token_seqs, model, unigram_cap=False):
     all_reps = _reps_with_eom(tape, model, reps_c)
     k = len(id_seqs)
 
-    h = tape.tensor(reps_c.data.mean(axis=0))
+    h = tape.tensor(reps_c.data.mean(axis=0, keepdims=True))
     c = tape.zeros(h.data.shape)
     x = store.t("start")
     pointers = ()
     for _step in range(planner_mod.MAX_PLAN_LEN + 1):
         h, c = lstm_step(tape, x, h, c, store.t("dec.W"), store.t("dec.b"))
-        dist = pointer_step(tape, model, h, all_reps).data.copy()
+        dist = pointer_step(tape, model, h, all_reps).data[0].copy()
         for i in range(k):
             if _has_blocked_bigram(pointers, i):
                 dist[i] = -1.0
@@ -159,13 +159,13 @@ def oracle_generate(plan_tokens, model, beam_size, dropped=(UNK, BOS, "")):
         for tokens, logprob, h_prev, c_prev, prev in beams:
             h, c = lstm_step(
                 tape, tape.gather_rows(model.store.t("emb"),
-                                       model.token_id(prev)),
+                                       [model.token_id(prev)]),
                 tape.tensor(h_prev), tape.tensor(c_prev),
                 model.store.t("dec.W"), model.store.t("dec.b"))
             comb, alpha = decode_step(tape, model, S, h)
             p_gen, p_copy = _output_dists(tape, model, comb)
-            dist = _surface_dist(model, plan_tokens, p_gen.data,
-                                 p_copy.data, alpha.data, dropped)
+            dist = _surface_dist(model, plan_tokens, p_gen.data[0],
+                                 p_copy.data[0, 0], alpha.data[0], dropped)
             top = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
             for tok, prob in top[:beam_size + 1]:
                 logp = logprob + float(np.log(max(prob, 1e-300)))

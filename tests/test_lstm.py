@@ -42,15 +42,15 @@ def oracle_lstm_step(tape, x, h, c, W, b):
 def _arrays(batch, n_in=3, hidden=4, seed=0):
     """x, h, c, W, b with a spread wide enough to reach the gates' tails."""
     rng = np.random.default_rng(seed)
-    lead = () if batch is None else (batch,)
-    return (rng.normal(size=lead + (n_in,)),
-            rng.normal(size=lead + (hidden,)),
-            rng.normal(size=lead + (hidden,)),
+    return (rng.normal(size=(batch, n_in)),
+            rng.normal(size=(batch, hidden)),
+            rng.normal(size=(batch, hidden)),
             rng.normal(size=(n_in + hidden, 4 * hidden)) * 0.8,
             rng.normal(size=4 * hidden))
 
 
-@pytest.mark.parametrize("batch", [None, 5], ids=["1-D", "batched"])
+#: the "1-D" cases run one hypothesis, which is a one-row stack
+@pytest.mark.parametrize("batch", [1, 5], ids=["1-D", "batched"])
 def test_no_grad_cell_equals_oracle(batch):
     x, h, c, W, b = _arrays(batch)
     for new, old in zip(nn.lstm_step(NO_GRAD, x, h, c, W, b),
@@ -62,7 +62,7 @@ def test_no_grad_cell_equals_oracle(batch):
                          ids=["lstm_cell", "lstm_sequence"])
 def test_unread_outputs_record_no_gradient(sequence):
     tape = Tape()
-    x, h, c, W, b = (tape.tensor(a) for a in _arrays(None))
+    x, h, c, W, b = (tape.tensor(a) for a in _arrays(1))
     if sequence:
         tape.lstm_sequence([x, x], h, c, W, b)
     else:
@@ -75,16 +75,16 @@ def test_unread_outputs_record_no_gradient(sequence):
 # The sequence op, and the two models' losses, against per-step oracles
 
 
-#: (batch, steps) of the sequence tests: 1-D or batched, six steps or one
+#: (batch, steps) of the sequence tests: one hypothesis ("1-D", a one-row
+#: stack) or batched, six steps or one
 SEQUENCES = pytest.mark.parametrize(
-    "batch, steps", [(None, 6), (5, 6), (None, 1), (5, 1)],
+    "batch, steps", [(1, 6), (5, 6), (1, 1), (5, 1)],
     ids=["1-D", "batched", "1-D-1-step", "batched-1-step"])
 
 
 def _inputs(batch, steps):
     """``steps`` inputs as one array, then h, c, W, b as in ``_arrays``."""
-    lead = (steps,) + (() if batch is None else (batch,))
-    return (np.random.default_rng(3).normal(size=lead + (3,)),
+    return (np.random.default_rng(3).normal(size=(steps, batch, 3)),
             *_arrays(batch)[1:])
 
 
@@ -95,7 +95,7 @@ def _sequence_run(batch, steps, fused, read_last=True):
     input."""
     tape = Tape()
     xs_all, h, c, W, b = (tape.tensor(a) for a in _inputs(batch, steps))
-    xs = [tape.row(xs_all, t) for t in range(xs_all.shape[0])]
+    xs = [tape.gather_rows(xs_all, t) for t in range(xs_all.shape[0])]
     if fused:
         hs, c_last = tape.lstm_sequence(xs, h, c, W, b)
     else:
@@ -136,7 +136,7 @@ def test_sequence_gradients_match_oracle(batch, steps, read_last):
 
 
 def oracle_bilstm_encode(tape, seq, W_f, b_f, W_b, b_b, hidden):
-    state_shape = seq[0].shape[:-1] + (hidden,)
+    state_shape = (seq[0].shape[0], hidden)
 
     def run(inputs, W, b):
         h, c = tape.zeros(state_shape), tape.zeros(state_shape)
@@ -169,8 +169,8 @@ def reference_encode_candidates(tape, model, id_seqs,
             tape, inputs, tape.param(store, "enc_f.W"),
             tape.param(store, "enc_f.b"), tape.param(store, "enc_b.W"),
             tape.param(store, "enc_b.b"), model.hyper.hidden)
-        scores = tape.transpose(tape.stack_rows(
-            [tape.matmul(s, d) for s in states]))                # (B, T)
+        scores = tape.concat([tape.matmul(s, tape.transpose(d))
+                              for s in states], axis=-1)          # (B, T)
         alpha = tape.softmax(scores, axis=1)
         acc = tape.mul(tape.slice_last(alpha, 0, 1), states[0])
         for t in range(1, length):
@@ -195,7 +195,7 @@ def oracle_planner_loss(tape, model, id_seqs, pointer_seq):
         h, c = oracle_lstm_step(tape, x, h, c, store.t("dec.W"),
                                 store.t("dec.b"))
         dist = pointer_step(tape, model, h, all_reps)
-        step_loss = tape.nll_pick(dist, target)
+        step_loss = tape.nll_pick(dist, (0, target))
         loss = step_loss if loss is None else tape.add(loss, step_loss)
         if target < k:
             x = tape.row(reps_c, target)
@@ -212,19 +212,20 @@ def oracle_generator_loss(tape, model, plan_tokens, target_tokens):
     for step, target in enumerate(list(target_tokens) + [EOS]):
         if step > 0 and step % model.hyper.trunc == 0:
             h, c = tape.tensor(h.data), tape.tensor(c.data)
-        x = tape.gather_rows(store.t("emb"), model.token_id(prev))
+        x = tape.gather_rows(store.t("emb"), [model.token_id(prev)])
         h, c = oracle_lstm_step(tape, x, h, c, store.t("dec.W"),
                                 store.t("dec.b"))
         comb, alpha = decode_step(tape, model, S, h)
         p_gen, p_copy = _output_dists(tape, model, comb)
-        gen_p = tape.pick(p_gen, model.token_id(target))
+        token = model.token_id(target)
+        gen_p = tape.slice_last(p_gen, token, token + 1)
         copy_p = tape.matmul(alpha, tape.tensor(_copy_mask(surfaces, target)))
         keep = tape.add_const(tape.neg(p_copy), 1.0)
         p = tape.add(tape.mul(keep, gen_p), tape.mul(p_copy, copy_p))
         step_loss = tape.neg(tape.log(tape.add_const(p, 1e-12)))
         loss = step_loss if loss is None else tape.add(loss, step_loss)
         prev = target
-    return loss
+    return tape.sum(loss)
 
 
 def _rel_err(new, old):

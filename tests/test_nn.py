@@ -39,13 +39,14 @@ class TestParamStore:
 
 class TestLSTM:
     def test_shapes_batchless(self, rng):
+        # one hypothesis is a one-row stack
         store = ParamStore()
         store.create_lstm("c", 3, 5, rng)
         tape = Tape()
         store.bind(tape)
-        h, c = lstm_step(tape, tape.zeros(3), tape.zeros(5), tape.zeros(5),
-                         store.t("c.W"), store.t("c.b"))
-        assert h.shape == (5,) and c.shape == (5,)
+        h, c = lstm_step(tape, tape.zeros((1, 3)), tape.zeros((1, 5)),
+                         tape.zeros((1, 5)), store.t("c.W"), store.t("c.b"))
+        assert h.shape == (1, 5) and c.shape == (1, 5)
 
     def test_shapes_batched(self, rng):
         store = ParamStore()
@@ -62,8 +63,8 @@ class TestLSTM:
         tape = Tape()
         store.bind(tape)
         with pytest.raises(ShapeError):
-            lstm_step(tape, tape.zeros(4), tape.zeros(5), tape.zeros(5),
-                      store.t("c.W"), store.t("c.b"))
+            lstm_step(tape, tape.zeros((1, 4)), tape.zeros((1, 5)),
+                      tape.zeros((1, 5)), store.t("c.W"), store.t("c.b"))
 
     def test_bilstm_positions_and_width(self, rng):
         store = ParamStore()
@@ -71,11 +72,11 @@ class TestLSTM:
         store.create_lstm("b", 3, 4, rng)
         tape = Tape()
         store.bind(tape)
-        seq = [tape.tensor(rng.normal(size=3)) for _ in range(6)]
+        seq = [tape.tensor(rng.normal(size=(1, 3))) for _ in range(6)]
         states = bilstm_encode(tape, seq, store.t("f.W"), store.t("f.b"),
                                store.t("b.W"), store.t("b.b"), 4)
         assert len(states) == 6
-        assert all(s.shape == (8,) for s in states)
+        assert all(s.shape == (1, 8) for s in states)
 
     def test_bilstm_empty_rejected(self, rng):
         store = ParamStore()
@@ -90,13 +91,14 @@ class TestLSTM:
     def test_lstm_grad_check(self, rng):
         store = ParamStore()
         store.create_lstm("c", 2, 3, rng)
-        x = rng.normal(size=2)
+        x = rng.normal(size=(1, 2))
 
         def loss_fn():
             tape = Tape()
             store.bind(tape)
-            h, c = lstm_step(tape, tape.tensor(x), tape.zeros(3),
-                             tape.zeros(3), store.t("c.W"), store.t("c.b"))
+            h, c = lstm_step(tape, tape.tensor(x), tape.zeros((1, 3)),
+                             tape.zeros((1, 3)), store.t("c.W"),
+                             store.t("c.b"))
             h, c = lstm_step(tape, tape.tensor(x), h, c,
                              store.t("c.W"), store.t("c.b"))
             return tape.sum(h)

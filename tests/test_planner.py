@@ -41,15 +41,15 @@ class TestEncodeCandidates:
             t2 = Tape()
             store.bind(t2)
             emb = store.t("emb")
-            xs = [t2.row(t2.gather_rows(emb, [tok]), 0) for tok in seq]
+            xs = [t2.gather_rows(emb, [tok]) for tok in seq]
             states = bilstm_encode(t2, xs, store.t("enc_f.W"),
                                    store.t("enc_f.b"), store.t("enc_b.W"),
                                    store.t("enc_b.b"), TINY.hidden)
-            scores = np.array([float(s.data @ store.t("query_d").data)
+            scores = np.array([float(s.data[0] @ store.t("query_d").data[0])
                                for s in states])
             alpha = np.exp(scores - scores.max())
             alpha /= alpha.sum()
-            expected = sum(a * s.data for a, s in zip(alpha, states))
+            expected = sum(a * s.data[0] for a, s in zip(alpha, states))
             assert np.allclose(batched[i], expected, atol=1e-10)
 
     def test_order_preserved_under_permutation(self):
@@ -153,14 +153,28 @@ class TestPointerStep:
         n = TINY.rep_dim
         rng = np.random.default_rng(2)
         reps = rng.normal(size=(5, n))
-        h = rng.normal(size=n)
+        h = rng.normal(size=(1, n))
         tape = Tape()
         model.store.bind(tape)
         dist = pointer_step(tape, model, tape.tensor(h),
                             tape.tensor(reps)).data
-        logits = reps @ (h @ model.store.t("W_b").data)
+        logits = (h @ model.store.t("W_b").data) @ reps.T
         ex = np.exp(logits - logits.max())
+        assert dist.shape == (1, 5)
         assert np.allclose(dist, ex / ex.sum())
+
+    def test_takes_a_stack_of_states(self):
+        # a (B, n) stack gives one distribution per row; a row of a stacked
+        # product may round differently from a product of its own
+        model = tiny_model(SEQS)
+        rng = np.random.default_rng(5)
+        h = rng.normal(size=(3, TINY.rep_dim))
+        reps = rng.normal(size=(6, TINY.rep_dim))
+        stacked = pointer_step(NO_GRAD, model, h, reps)
+        assert stacked.shape == (3, 6)
+        for i in range(3):
+            one = pointer_step(NO_GRAD, model, h[i:i + 1], reps)
+            assert np.allclose(stacked[i:i + 1], one, rtol=1e-12, atol=0)
 
     def test_zero_bilinear_gives_uniform(self):
         model = tiny_model(SEQS)
@@ -168,7 +182,8 @@ class TestPointerStep:
         tape = Tape()
         model.store.bind(tape)
         rng = np.random.default_rng(3)
-        dist = pointer_step(tape, model, tape.tensor(rng.normal(size=TINY.rep_dim)),
+        dist = pointer_step(tape, model,
+                            tape.tensor(rng.normal(size=(1, TINY.rep_dim))),
                             tape.tensor(rng.normal(size=(6, TINY.rep_dim)))).data
         assert np.allclose(dist, 1 / 6)
 
@@ -177,7 +192,8 @@ class TestPointerStep:
         tape = Tape()
         model.store.bind(tape)
         rng = np.random.default_rng(4)
-        dist = pointer_step(tape, model, tape.tensor(rng.normal(size=TINY.rep_dim)),
+        dist = pointer_step(tape, model,
+                            tape.tensor(rng.normal(size=(1, TINY.rep_dim))),
                             tape.tensor(rng.normal(size=(7, TINY.rep_dim)))).data
         assert np.isclose(dist.sum(), 1.0) and dist.min() >= 0
 
