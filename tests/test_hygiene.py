@@ -8,7 +8,8 @@ optional parameter of the package is set by a stage, a script or the
 benchmark (or, for an oracle, by the check it serves), and every parameter
 is read by its function's body unless the function is passed around as a
 value.  Every field of a package dataclass is read as an attribute by the
-package, the scripts or the benchmark, but for a short allowlist."""
+package, the scripts or the benchmark, but for a short allowlist.  Every
+``Tape`` op has a primitive gradient check in AC1."""
 
 import ast
 from collections import defaultdict
@@ -455,10 +456,10 @@ def _ac1_reads():
         "tests/test_acceptance.py::test_ac1_gradient_fidelity")
     helpers = {node.name: node for node in tree.body
                if isinstance(node, FUNCTIONS)}
-    [pending] = [node.value for node in ast.walk(check)
-                 if isinstance(node, ast.Assign)
-                 and [ast.unparse(t) for t in node.targets] == ["primitives"]]
-    pending, seen, attrs = [pending], set(), set()
+    [primitives] = [node.value for node in ast.walk(check)
+                    if isinstance(node, ast.Assign) and [
+                        ast.unparse(t) for t in node.targets] == ["primitives"]]
+    pending, seen, attrs = [primitives], set(), set()
     while pending:
         bare, new_attrs = _reads(pending.pop())
         attrs |= new_attrs
