@@ -1,7 +1,9 @@
 """Minimal reverse-mode autodiff on dense float64 numpy arrays.
 
 A Tape records backward closures as ops execute; ``Tape.backward`` replays
-them in reverse.
+them in reverse.  ``Tape.param`` makes a parameter's leaf the first time
+the tape reads it and keeps it in ``Tape.leaves``, where its gradient
+lands: a training step's leaves and gradients live on its tape alone.
 
 Every activation is a stack of rows, (B, width), with B = 1 for one
 hypothesis or one step: ``row`` keeps its axis, ``concat(axis=0)`` stacks
@@ -31,10 +33,11 @@ class ShapeError(ValueError):
 
 
 class Tape:
-    __slots__ = ("nodes",)
+    __slots__ = ("nodes", "leaves")
 
     def __init__(self):
         self.nodes: list = []
+        self.leaves: dict[str, Tensor] = {}
 
     def _record(self, out: "Tensor", fn) -> None:
         def guarded():
@@ -46,23 +49,26 @@ class Tape:
         if loss.data.size != 1:
             raise ShapeError("backward requires a scalar loss")
         loss.grad = np.ones_like(loss.data)
-        # the closures hold their output tensors, which hold this tape:
-        # popping each as it runs frees its tensor and that tensor's
-        # gradient once no earlier node reads them, and leaves no cycle
+        # popping each closure as it runs frees its output tensor and that
+        # tensor's gradient once no earlier node reads them
         while self.nodes:
             self.nodes.pop()()
 
     # --- construction -----------------------------------------------------
 
     def tensor(self, data) -> "Tensor":
-        return Tensor(np.asarray(data, dtype=np.float64), self)
+        return Tensor(data)
 
     def zeros(self, shape) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=np.float64), self)
+        return Tensor(np.zeros(shape, dtype=np.float64))
 
     def param(self, store, name: str) -> "Tensor":
-        """The leaf that ``store.bind(self)`` made for parameter ``name``."""
-        return store.t(name)
+        """The leaf of parameter ``store[name]``, made the first time this
+        tape reads it."""
+        leaf = self.leaves.get(name)
+        if leaf is None:
+            leaf = self.leaves[name] = Tensor(store[name].data)
+        return leaf
 
     # --- primitive ops ----------------------------------------------------
 
@@ -72,7 +78,7 @@ class Tape:
             raise ShapeError(f"matmul: {a.data.shape} x {b.data.shape}: "
                              "each operand needs two axes or more")
         try:
-            out = Tensor(a.data @ b.data, self)
+            out = Tensor(a.data @ b.data)
         except ValueError:
             raise ShapeError(f"matmul: incompatible shapes {a.data.shape} "
                              f"x {b.data.shape}") from None
@@ -84,7 +90,7 @@ class Tape:
         return out
 
     def add(self, a: "Tensor", b: "Tensor") -> "Tensor":
-        out = Tensor(a.data + b.data, self)
+        out = Tensor(a.data + b.data)
 
         def backward():
             a.accum(_unbroadcast(out.grad, a.data.shape))
@@ -94,7 +100,7 @@ class Tape:
 
     def mul(self, a: "Tensor", b: "Tensor") -> "Tensor":
         """Elementwise product with numpy broadcasting."""
-        out = Tensor(a.data * b.data, self)
+        out = Tensor(a.data * b.data)
 
         def backward():
             a.accum(_unbroadcast(out.grad * b.data, a.data.shape))
@@ -103,7 +109,7 @@ class Tape:
         return out
 
     def scale(self, a: "Tensor", k: float) -> "Tensor":
-        out = Tensor(a.data * k, self)
+        out = Tensor(a.data * k)
 
         def backward():
             a.accum(out.grad * k)
@@ -111,7 +117,7 @@ class Tape:
         return out
 
     def add_const(self, a: "Tensor", const) -> "Tensor":
-        out = Tensor(a.data + np.asarray(const, dtype=np.float64), self)
+        out = Tensor(a.data + np.asarray(const, dtype=np.float64))
 
         def backward():
             a.accum(_unbroadcast(out.grad, a.data.shape))
@@ -120,7 +126,7 @@ class Tape:
 
     def sigmoid(self, a: "Tensor") -> "Tensor":
         y = NoGrad.sigmoid(a.data)
-        out = Tensor(y, self)
+        out = Tensor(y)
 
         def backward():
             a.accum(out.grad * y * (1.0 - y))
@@ -129,7 +135,7 @@ class Tape:
 
     def tanh(self, a: "Tensor") -> "Tensor":
         y = np.tanh(a.data)
-        out = Tensor(y, self)
+        out = Tensor(y)
 
         def backward():
             a.accum(out.grad * (1.0 - y * y))
@@ -140,7 +146,7 @@ class Tape:
         """Softmax along ``axis``; optional boolean ``mask`` (False entries get
         zero probability and no gradient)."""
         y = NoGrad.softmax(a.data, axis, mask)
-        out = Tensor(y, self)
+        out = Tensor(y)
 
         def backward():
             g = out.grad
@@ -150,7 +156,7 @@ class Tape:
         return out
 
     def log(self, a: "Tensor") -> "Tensor":
-        out = Tensor(np.log(a.data), self)
+        out = Tensor(np.log(a.data))
 
         def backward():
             a.accum(out.grad / a.data)
@@ -158,7 +164,7 @@ class Tape:
         return out
 
     def concat(self, parts: list["Tensor"], axis: int = -1) -> "Tensor":
-        out = Tensor(np.concatenate([p.data for p in parts], axis=axis), self)
+        out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
         sizes = [p.data.shape[axis] for p in parts]
         offsets = np.cumsum([0] + sizes)
 
@@ -172,7 +178,7 @@ class Tape:
 
     def _index(self, a: "Tensor", key) -> "Tensor":
         """``a[key]`` for a basic-index ``key``."""
-        out = Tensor(a.data[key], self)
+        out = Tensor(a.data[key])
         self._record(out, lambda: a.accum_at(key, out.grad))
         return out
 
@@ -186,7 +192,7 @@ class Tape:
     def gather_rows(self, table: "Tensor", indices) -> "Tensor":
         """``table[indices]`` for an int array ``indices`` of any shape."""
         idx = np.asarray(indices, dtype=np.int64)
-        out = Tensor(table.data[idx], self)
+        out = Tensor(table.data[idx])
 
         def backward():
             # sum repeated ids apart from table.grad, in index order, so
@@ -201,7 +207,7 @@ class Tape:
         """Swap the last two axes of a tensor of two axes or more."""
         if a.data.ndim < 2:
             raise ShapeError("transpose expects a tensor of 2-D or more")
-        out = Tensor(NoGrad.transpose(a.data), self)
+        out = Tensor(NoGrad.transpose(a.data))
 
         def backward():
             a.accum(NoGrad.transpose(out.grad))
@@ -209,7 +215,7 @@ class Tape:
         return out
 
     def sum(self, a: "Tensor", axis=None) -> "Tensor":
-        out = Tensor(np.sum(a.data, axis=axis), self)
+        out = Tensor(np.sum(a.data, axis=axis))
 
         def backward():
             g = out.grad
@@ -223,8 +229,7 @@ class Tape:
         """The mean along ``axis``, kept as an axis of one (the mean row of
         a stack, for ``axis=0``), or of every element as 0-D."""
         k = 1.0 / (a.data.size if axis is None else a.data.shape[axis])
-        out = Tensor(np.sum(a.data, axis=axis, keepdims=axis is not None) * k,
-                     self)
+        out = Tensor(np.sum(a.data, axis=axis, keepdims=axis is not None) * k)
         self._record(out, lambda: a.accum(
             np.broadcast_to(out.grad * k, a.data.shape)))
         return out
@@ -235,7 +240,7 @@ class Tape:
     def nll_pick(self, probs: "Tensor", index) -> "Tensor":
         """-log(probs[index]) with numerical floor ``NLL_FLOOR``."""
         p = max(float(probs.data[index]), NLL_FLOOR)
-        out = Tensor(np.asarray(-np.log(p)), self)
+        out = Tensor(np.asarray(-np.log(p)))
         self._record(out, lambda: probs.accum_at(index, -out.grad / p))
         return out
 
@@ -264,9 +269,9 @@ class Tape:
             xh = np.concatenate([x.data, h], axis=-1)
             h, c_new, ifo, g, tc = _lstm_forward(xh, c, W.data, b.data)
             saved.append((xh, c, ifo, g, tc))
-            hs.append(Tensor(h, self))
+            hs.append(Tensor(h))
             c = c_new
-        c_out = Tensor(c, self)
+        c_out = Tensor(c)
 
         def backward():
             dc = c_out.grad
@@ -418,12 +423,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "tape", "__weakref__")
+    __slots__ = ("data", "grad", "__weakref__")
 
-    def __init__(self, data: np.ndarray, tape: Tape):
+    def __init__(self, data: np.ndarray):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.tape = tape
 
     @property
     def shape(self):

@@ -1,5 +1,10 @@
 """Parameters, LSTM cells, Adagrad, gradient checking, the beam-search
-ranking rules and checkpoint I/O."""
+ranking rules and checkpoint I/O.
+
+A :class:`ParamStore` holds each parameter's value and Adagrad accumulator
+and nothing of a training step: the step's leaves and gradients live on its
+tape (``Tape.param``), whose ``leaves`` :func:`fit` hands to
+:func:`adagrad_step`."""
 
 from __future__ import annotations
 
@@ -37,26 +42,20 @@ GRAD_CHECK_FLOOR = 1e-5
 
 
 class Parameter:
-    __slots__ = ("name", "data", "accumulator")
+    __slots__ = ("data", "accumulator")
 
-    def __init__(self, name: str, data: np.ndarray):
-        self.name = name
+    def __init__(self, data: np.ndarray):
         self.data = np.asarray(data, dtype=np.float64)
         self.accumulator = np.zeros_like(self.data)
 
 
-class ParamStore:
-    """Named parameter collection.  ``bind(tape)`` produces leaf tensors for
-    one forward/backward episode; gradients land on those tensors and are
-    consumed by :func:`adagrad_step`."""
-
-    def __init__(self):
-        self._params: dict[str, Parameter] = {}
-        self._bound: dict[str, Tensor] = {}
+class ParamStore(dict):
+    """Parameters by name, in the order they were made: the order of a
+    checkpoint's records and of :func:`adagrad_step`'s sums."""
 
     def create(self, name: str, shape, rng: np.random.Generator,
                init: str = "uniform") -> Parameter:
-        if name in self._params:
+        if name in self:
             raise ValueError(f"duplicate parameter {name!r}")
         if init == "uniform":
             data = rng.uniform(-INIT_RANGE, INIT_RANGE, size=shape)
@@ -64,8 +63,7 @@ class ParamStore:
             data = np.zeros(shape)
         else:
             raise ValueError(f"unknown init {init!r}")
-        p = Parameter(name, data)
-        self._params[name] = p
+        p = self[name] = Parameter(data)
         return p
 
     def create_lstm(self, prefix: str, input_dim: int, hidden: int,
@@ -74,23 +72,6 @@ class ParamStore:
         self.create(f"{prefix}.W", (input_dim + hidden, 4 * hidden), rng)
         b = self.create(f"{prefix}.b", (4 * hidden,), rng, init="zeros")
         b.data[hidden:2 * hidden] = 1.0
-
-    def __getitem__(self, name) -> Parameter:
-        return self._params[name]
-
-    def items(self):
-        return self._params.items()
-
-    def bind(self, tape: Tape) -> None:
-        self._bound = {name: Tensor(p.data, tape)
-                       for name, p in self._params.items()}
-
-    def t(self, name: str) -> Tensor:
-        return self._bound[name]
-
-    def grads(self) -> dict[str, np.ndarray]:
-        return {name: t.grad for name, t in self._bound.items()
-                if t.grad is not None}
 
 
 def lstm_step(tape: Tape | NoGrad, x, h, c, W, b):
@@ -138,15 +119,19 @@ def bilstm_encode(tape: Tape | NoGrad, seq: list, W_f, b_f, W_b, b_b,
     return [tape.concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
 
 
-def adagrad_step(store: ParamStore, lr: float) -> None:
-    """accumulator += grad^2; param -= lr * grad / (sqrt(accumulator) + eps).
+def adagrad_step(store: ParamStore, leaves: dict[str, Tensor],
+                 lr: float) -> None:
+    """accumulator += grad^2; param -= lr * grad / (sqrt(accumulator) + eps),
+    for each parameter of ``store`` whose leaf in ``leaves`` (a tape's) has
+    a gradient, in the store's order.
 
     Gradients are first rescaled so that their global L2 norm does not
     exceed :data:`GRAD_CLIP`.
     """
     if lr <= 0:
         raise ValueError("learning rate must be positive")
-    grads = store.grads()
+    grads = {name: leaves[name].grad for name in store
+             if name in leaves and leaves[name].grad is not None}
     norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if norm > GRAD_CLIP:
         grads = {n: g * (GRAD_CLIP / norm) for n, g in grads.items()}
@@ -174,10 +159,9 @@ def fit(model, loss_fn, data: list, rng: np.random.Generator) -> list[float]:
         for i in order:
             source, targets = data[i]
             tape = Tape()
-            model.store.bind(tape)
             loss = loss_fn(tape, model, source, targets)
             tape.backward(loss)
-            adagrad_step(model.store, hyper.lr)
+            adagrad_step(model.store, tape.leaves, hyper.lr)
             total += float(loss.data)
             predictions += len(targets) + 1
         trace.append(total / predictions)
@@ -211,21 +195,21 @@ def best_hypothesis(pairs) -> tuple:
 
 def grad_check(loss_fn, store: ParamStore, max_coords: int | None = None,
                rng: np.random.Generator | None = None) -> float:
-    """Compare analytic gradients of ``loss_fn`` (a zero-argument callable
-    returning a scalar Tensor whose tape has the store bound) against central
-    finite differences.  Returns the worst relative error."""
-    loss = loss_fn()
+    """Compare the analytic gradients of ``loss_fn`` (a callable taking a
+    tape and returning a scalar Tensor of it) with respect to the parameters
+    of ``store`` against central finite differences.  Returns the worst
+    relative error."""
+    tape = Tape()
+    loss = loss_fn(tape)
     if not np.isfinite(loss.data).all():
         raise ValueError("loss is not finite")
-    loss.tape.backward(loss)
-    analytic = {}
-    for name, _ in store.items():
-        t = store._bound.get(name)
-        analytic[name] = (t.grad.copy() if t is not None and t.grad is not None
-                          else np.zeros_like(store[name].data))
+    tape.backward(loss)
 
     worst = 0.0
     for name, p in store.items():
+        leaf = tape.leaves.get(name)
+        analytic = (leaf.grad if leaf is not None and leaf.grad is not None
+                    else np.zeros_like(p.data))
         flat = p.data.reshape(-1)
         n = flat.size
         if max_coords is not None and n > max_coords:
@@ -234,13 +218,13 @@ def grad_check(loss_fn, store: ParamStore, max_coords: int | None = None,
             coords = rng.choice(n, size=max_coords, replace=False)
         else:
             coords = range(n)
-        a_flat = analytic[name].reshape(-1)
+        a_flat = analytic.reshape(-1)
         for idx in coords:
             orig = flat[idx]
             flat[idx] = orig + GRAD_CHECK_STEP
-            f_plus = float(loss_fn().data)
+            f_plus = float(loss_fn(Tape()).data)
             flat[idx] = orig - GRAD_CHECK_STEP
-            f_minus = float(loss_fn().data)
+            f_minus = float(loss_fn(Tape()).data)
             flat[idx] = orig
             numeric = (f_plus - f_minus) / (2.0 * GRAD_CHECK_STEP)
             a = a_flat[idx]
@@ -292,5 +276,5 @@ def load_params(path) -> ParamStore:
             dims = struct.unpack(f"<{rank}Q", read(8 * rank))
             count = int(np.prod(dims))
             data = np.frombuffer(read(8 * count), dtype="<f8").reshape(dims)
-            store._params[name] = Parameter(name, data.copy())
+            store[name] = Parameter(data.copy())
     return store

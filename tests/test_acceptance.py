@@ -211,9 +211,7 @@ def test_ac1_gradient_fidelity(capsys):
 
     pmodel, pids = _micro_planner()
 
-    def ploss():
-        tape = Tape()
-        pmodel.store.bind(tape)
+    def ploss(tape):
         return planner_loss(tape, pmodel, pids, [0, 3, 1])
 
     worst_p = grad_check(ploss, pmodel.store, max_coords=60,
@@ -221,9 +219,7 @@ def test_ac1_gradient_fidelity(capsys):
 
     gmodel, gplan, gtarget = _micro_generator()
 
-    def gloss():
-        tape = Tape()
-        gmodel.store.bind(tape)
+    def gloss(tape):
         return generator_loss(tape, gmodel, gplan, gtarget)
 
     worst_g = grad_check(gloss, gmodel.store, max_coords=60,
@@ -244,7 +240,6 @@ def test_ac2_normalization_invariants(capsys):
     worst = 0.0
     for _ in range(100):
         tape = Tape()
-        pmodel.store.bind(tape)
         # candidate-encoder attention over token positions
         alpha = tape.softmax(tape.tensor(rng.normal(size=(3, 6)) * 3),
                              axis=1).data
@@ -262,12 +257,13 @@ def test_ac2_normalization_invariants(capsys):
         worst = max(worst, abs(float(dist.sum()) - 1.0))
         # generate/copy mixture over vocabulary plus plan positions
         t2 = Tape()
-        gmodel.store.bind(t2)
         ids = [gmodel.token_id(t) for t in gplan]
         S, h, c = encode_plan(t2, gmodel, ids)
         prev = int(rng.integers(0, len(gmodel.vocab)))
-        h, c = lstm_step(t2, t2.gather_rows(gmodel.store.t("emb"), [prev]), h,
-                         c, gmodel.store.t("dec.W"), gmodel.store.t("dec.b"))
+        h, c = lstm_step(t2, t2.gather_rows(t2.param(gmodel.store, "emb"),
+                                            [prev]), h, c,
+                         t2.param(gmodel.store, "dec.W"),
+                         t2.param(gmodel.store, "dec.b"))
         comb, att = decode_step(t2, gmodel, S, h)
         p_gen, p_copy = _output_dists(t2, gmodel, comb)
         pc = float(p_copy.data[0, 0])

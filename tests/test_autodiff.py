@@ -366,18 +366,18 @@ class ParentTape(Tape):
         return out
 
     def _index(self, a, key):
-        out = Tensor(a.data[key], self)
+        out = Tensor(a.data[key])
         return self._scatter(a, out, lambda g, og: g.__setitem__(key, og))
 
     def gather_rows(self, table, indices):
         idx = np.asarray(indices, dtype=np.int64)
-        out = Tensor(table.data[idx], self)
+        out = Tensor(table.data[idx])
         return self._scatter(table, out,
                              lambda g, og: np.add.at(g, idx, og))
 
     def nll_pick(self, probs, index):
         p = max(float(probs.data[index]), NLL_FLOOR)
-        out = Tensor(np.asarray(-np.log(p)), self)
+        out = Tensor(np.asarray(-np.log(p)))
         return self._scatter(probs, out,
                              lambda g, og: g.__setitem__(index, -og / p))
 
@@ -411,7 +411,7 @@ def _index_ops():
     store.create("x", (4, 6), np.random.default_rng(5))
 
     def loss(tape):
-        x = store.t("x")
+        x = tape.param(store, "x")
         w = tape.tensor(np.random.default_rng(6).normal(size=(3, 6)))
         parts = [tape.sum(tape.mul(tape.gather_rows(x, [2, 0, 2]), w)),
                  tape.sum(tape.mul(tape.gather_rows(x, [1, 2, 2]), w)),
@@ -446,9 +446,9 @@ class TestAccumulation:
         store, loss_fn = build()
 
         def grads(tape):
-            store.bind(tape)
             tape.backward(loss_fn(tape))
-            return store.grads()
+            return {name: leaf.grad for name, leaf in tape.leaves.items()
+                    if leaf.grad is not None}
 
         new = grads(Tape())
         with monkeypatch.context() as m:

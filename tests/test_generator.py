@@ -37,7 +37,6 @@ class TestEncodePlan:
     def test_shapes(self):
         model = tiny_model()
         tape = Tape()
-        model.store.bind(tape)
         ids = [model.token_id(t) for t in PLAN]
         S, h0, c0 = encode_plan(tape, model, ids)
         assert S.shape == (len(PLAN), TINY.rep_dim)
@@ -48,7 +47,6 @@ class TestEncodePlan:
     def test_empty_plan_rejected(self):
         model = tiny_model()
         tape = Tape()
-        model.store.bind(tape)
         with pytest.raises(ValueError):
             encode_plan(tape, model, [])
 
@@ -59,15 +57,15 @@ class TestOutputMixture:
         from the (n,) ``h``/``c``: the one row of (p_gen, p_copy, alpha, h,
         c)."""
         tape = Tape()
-        model.store.bind(tape)
         ids = [model.token_id(t) for t in PLAN]
         S, h0, c0 = encode_plan(tape, model, ids)
         h = h0 if h is None else tape.tensor([h])
         c = c0 if c is None else tape.tensor([c])
         store = model.store
-        h, c = lstm_step(tape, tape.gather_rows(store.t("emb"),
+        h, c = lstm_step(tape, tape.gather_rows(tape.param(store, "emb"),
                                                 [model.token_id(prev)]),
-                         h, c, store.t("dec.W"), store.t("dec.b"))
+                         h, c, tape.param(store, "dec.W"),
+                         tape.param(store, "dec.b"))
         comb, alpha = decode_step(tape, model, S, h)
         p_gen, p_copy = _output_dists(tape, model, comb)
         return (p_gen.data[0], float(p_copy.data[0, 0]), alpha.data[0],
@@ -160,7 +158,6 @@ class TestInstanceLoss:
         model.store["w_copy"].data[:] = 0.0
         model.store["b_copy"].data = np.asarray(-50.0)
         tape = Tape()
-        model.store.bind(tape)
         loss = instance_loss(tape, model, PLAN, TARGET)
         v = len(model.vocab)
         assert float(loss.data) == pytest.approx(
@@ -171,7 +168,6 @@ class TestInstanceLoss:
         # via copying, so the loss stays finite and below the UNK-floor value
         model = tiny_model()
         tape = Tape()
-        model.store.bind(tape)
         loss = instance_loss(tape, model, PLAN, ["C.Mullins"])
         assert np.isfinite(float(loss.data))
         assert "C.Mullins" not in model.vocab  # really out-of-vocabulary
@@ -188,7 +184,6 @@ class TestInstanceLoss:
         losses = []
         for model in self._models_by_trunc():
             tape = Tape()
-            model.store.bind(tape)
             losses.append(float(instance_loss(tape, model, PLAN, TARGET).data))
         assert losses[0] == pytest.approx(losses[1])  # forward equal
 
@@ -196,10 +191,9 @@ class TestInstanceLoss:
         grads = []
         for model in self._models_by_trunc():
             tape = Tape()
-            model.store.bind(tape)
             loss = instance_loss(tape, model, PLAN, TARGET)
             tape.backward(loss)
-            grads.append(model.store.grads()["dec.W"].copy())
+            grads.append(tape.leaves["dec.W"].grad)
         assert not np.allclose(grads[0], grads[1])
 
 

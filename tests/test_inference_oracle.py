@@ -18,7 +18,7 @@ from macroplan.generator import (BOS, EOS, UNK, GeneratorHyper,
                                  GeneratorModel, _output_dists,
                                  build_gen_vocab, decode_step, encode_plan,
                                  generate)
-from macroplan.nn import ParamStore, lstm_step
+from macroplan.nn import lstm_step
 from macroplan.planner import (MacroPlan, PlannerHyper, PlannerModel,
                                _forward_reps, _reps_with_eom, build_vocab,
                                greedy_plan, infer_plan, pointer_step)
@@ -52,7 +52,6 @@ def oracle_infer_plan(candidate_token_seqs, model, beam_size=5,
     id_seqs = [model.token_ids(s) for s in candidate_token_seqs]
     tape = Tape()
     store = model.store
-    store.bind(tape)
     reps_c = _forward_reps(tape, model, id_seqs)
     all_reps = _reps_with_eom(tape, model, reps_c)
     k = len(id_seqs)
@@ -63,11 +62,11 @@ def oracle_infer_plan(candidate_token_seqs, model, beam_size=5,
     for _step in range(planner_mod.MAX_PLAN_LEN + 1):
         expansions = []
         for hyp in beams:
-            x = store.t("start") if not hyp.pointers \
+            x = tape.param(store, "start") if not hyp.pointers \
                 else tape.row(reps_c, hyp.pointers[-1])
-            h_t, c_t = lstm_step(tape, x, Tensor(hyp.h, tape),
-                                 Tensor(hyp.c, tape),
-                                 store.t("dec.W"), store.t("dec.b"))
+            h_t, c_t = lstm_step(tape, x, Tensor(hyp.h), Tensor(hyp.c),
+                                 tape.param(store, "dec.W"),
+                                 tape.param(store, "dec.b"))
             dist = pointer_step(tape, model, h_t, all_reps).data[0]
             for i in range(k + 1):
                 logp = hyp.logprob + float(np.log(max(dist[i], 1e-300)))
@@ -100,17 +99,17 @@ def oracle_greedy_plan(candidate_token_seqs, model, unigram_cap=False):
     id_seqs = [model.token_ids(s) for s in candidate_token_seqs]
     tape = Tape()
     store = model.store
-    store.bind(tape)
     reps_c = _forward_reps(tape, model, id_seqs)
     all_reps = _reps_with_eom(tape, model, reps_c)
     k = len(id_seqs)
 
     h = tape.tensor(reps_c.data.mean(axis=0, keepdims=True))
     c = tape.zeros(h.data.shape)
-    x = store.t("start")
+    x = tape.param(store, "start")
     pointers = ()
     for _step in range(planner_mod.MAX_PLAN_LEN + 1):
-        h, c = lstm_step(tape, x, h, c, store.t("dec.W"), store.t("dec.b"))
+        h, c = lstm_step(tape, x, h, c, tape.param(store, "dec.W"),
+                         tape.param(store, "dec.b"))
         dist = pointer_step(tape, model, h, all_reps).data[0].copy()
         for i in range(k):
             if _has_blocked_bigram(pointers, i):
@@ -147,7 +146,6 @@ def _surface_dist(model, plan_tokens, p_gen, p_copy, alpha, dropped):
 def oracle_generate(plan_tokens, model, beam_size, dropped=(UNK, BOS, "")):
     """``dropped``: the surfaces never emitted."""
     tape = Tape()
-    model.store.bind(tape)
     plan_ids = [model.token_id(t) for t in plan_tokens]
     S, h0, c0 = encode_plan(tape, model, plan_ids)
 
@@ -158,10 +156,11 @@ def oracle_generate(plan_tokens, model, beam_size, dropped=(UNK, BOS, "")):
         expansions = []
         for tokens, logprob, h_prev, c_prev, prev in beams:
             h, c = lstm_step(
-                tape, tape.gather_rows(model.store.t("emb"),
+                tape, tape.gather_rows(tape.param(model.store, "emb"),
                                        [model.token_id(prev)]),
                 tape.tensor(h_prev), tape.tensor(c_prev),
-                model.store.t("dec.W"), model.store.t("dec.b"))
+                tape.param(model.store, "dec.W"),
+                tape.param(model.store, "dec.b"))
             comb, alpha = decode_step(tape, model, S, h)
             p_gen, p_copy = _output_dists(tape, model, comb)
             dist = _surface_dist(model, plan_tokens, p_gen.data[0],
@@ -370,7 +369,6 @@ def test_inference_builds_no_tape(monkeypatch):
         raise AssertionError("inference built a tape")
 
     monkeypatch.setattr(Tape, "__init__", refuse)
-    monkeypatch.setattr(ParamStore, "bind", refuse)
     assert isinstance(infer_plan(seqs, planner, beam_size=3), MacroPlan)
     assert isinstance(greedy_plan(seqs, planner), MacroPlan)
     assert isinstance(generate(plan, capped(generator, 10), 3), list)

@@ -189,11 +189,11 @@ def oracle_planner_loss(tape, model, id_seqs, pointer_seq):
     k = len(id_seqs)
     h = tape.mean(reps_c, axis=0)
     c = tape.zeros(h.data.shape)
-    x = store.t("start")
+    x = tape.param(store, "start")
     loss = None
     for target in list(pointer_seq) + [k]:
-        h, c = oracle_lstm_step(tape, x, h, c, store.t("dec.W"),
-                                store.t("dec.b"))
+        h, c = oracle_lstm_step(tape, x, h, c, tape.param(store, "dec.W"),
+                                tape.param(store, "dec.b"))
         dist = pointer_step(tape, model, h, all_reps)
         step_loss = tape.nll_pick(dist, (0, target))
         loss = step_loss if loss is None else tape.add(loss, step_loss)
@@ -212,9 +212,9 @@ def oracle_generator_loss(tape, model, plan_tokens, target_tokens):
     for step, target in enumerate(list(target_tokens) + [EOS]):
         if step > 0 and step % model.hyper.trunc == 0:
             h, c = tape.tensor(h.data), tape.tensor(c.data)
-        x = tape.gather_rows(store.t("emb"), [model.token_id(prev)])
-        h, c = oracle_lstm_step(tape, x, h, c, store.t("dec.W"),
-                                store.t("dec.b"))
+        x = tape.gather_rows(tape.param(store, "emb"), [model.token_id(prev)])
+        h, c = oracle_lstm_step(tape, x, h, c, tape.param(store, "dec.W"),
+                                tape.param(store, "dec.b"))
         comb, alpha = decode_step(tape, model, S, h)
         p_gen, p_copy = _output_dists(tape, model, comb)
         token = model.token_id(target)
@@ -226,6 +226,12 @@ def oracle_generator_loss(tape, model, plan_tokens, target_tokens):
         loss = step_loss if loss is None else tape.add(loss, step_loss)
         prev = target
     return tape.sum(loss)
+
+
+def _grads(tape):
+    """Parameter name -> gradient, for each leaf of ``tape`` that has one."""
+    return {name: leaf.grad for name, leaf in tape.leaves.items()
+            if leaf.grad is not None}
 
 
 def _rel_err(new, old):
@@ -267,10 +273,9 @@ def test_instance_loss_matches_per_step_oracle(case, monkeypatch):
 
     def run(fn):
         tape = Tape()
-        model.store.bind(tape)
         loss = fn(tape)
         tape.backward(loss)
-        return float(loss.data), model.store.grads()
+        return float(loss.data), _grads(tape)
 
     new_loss, new = run(loss_fn)
     with monkeypatch.context() as m:
@@ -278,7 +283,7 @@ def test_instance_loss_matches_per_step_oracle(case, monkeypatch):
             m.setattr(module, "bilstm_encode", oracle_bilstm_encode)
         old_loss, old = run(oracle_fn)
     assert abs(new_loss - old_loss) <= 1e-9 * abs(old_loss)
-    assert new.keys() == old.keys() == dict(model.store.items()).keys()
+    assert new.keys() == old.keys() == model.store.keys()
     for name in old:
         assert _rel_err(new[name], old[name]) <= 1e-9, name
 
@@ -323,11 +328,10 @@ def _encode(encode, id_seqs):
     """(rows, parameter gradients) of ``encode`` under a loss that weighs
     every row."""
     tape = Tape()
-    TRIE_MODEL.store.bind(tape)
     reps = encode(tape, TRIE_MODEL, id_seqs)
     w = np.random.default_rng(len(id_seqs)).normal(size=reps.shape)
     tape.backward(tape.sum(tape.mul(reps, tape.tensor(w))))
-    return reps.data, TRIE_MODEL.store.grads()
+    return reps.data, _grads(tape)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,12 +1,17 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from macroplan import nn
 from macroplan.autodiff import ShapeError, Tape
 from macroplan.nn import (ADAGRAD_EPS, GRAD_CLIP, ParamStore, adagrad_step,
                           best_hypothesis, bilstm_encode, grad_check,
                           load_params, lstm_step, rank_expansions,
                           save_params)
+from macroplan.planner import PlannerHyper, train_planner
 
 
 def _store_with(rng, **shapes):
@@ -30,11 +35,68 @@ class TestParamStore:
         assert np.allclose(b[:4], 0.0)
 
     def test_bound_grads_only_nonzero(self, rng):
+        # b is read but gets no gradient: Adagrad leaves it alone
         store = _store_with(rng, a=(3,), b=(3,))
+        before = store["b"].data.copy()
         tape = Tape()
-        store.bind(tape)
-        tape.backward(tape.sum(store.t("a")))
-        assert set(store.grads()) == {"a"}
+        tape.param(store, "b")
+        tape.backward(tape.sum(tape.param(store, "a")))
+        assert set(tape.leaves) == {"a", "b"}
+        assert tape.leaves["b"].grad is None
+        adagrad_step(store, tape.leaves, lr=0.1)
+        assert np.array_equal(store["b"].data, before)
+        assert not store["b"].accumulator.any()
+        assert store["a"].accumulator.all()
+
+
+class TestTapeLeaves:
+    def test_fresh_tape_reads_parameters(self, rng):
+        store = _store_with(rng, w=(2, 3))
+        tape = Tape()
+        w = tape.param(store, "w")
+        assert tape.param(store, "w") is w     # one leaf per parameter
+        assert np.array_equal(w.data, store["w"].data)
+        tape.backward(tape.sum(w))
+        assert tape.leaves == {"w": w}
+        assert np.array_equal(w.grad, np.ones((2, 3)))
+
+    def test_two_tapes_keep_their_own_leaves(self, rng):
+        store = _store_with(rng, w=(3,))
+        x = store["w"].data.copy()
+        first, second = Tape(), Tape()
+        w1 = first.param(store, "w")
+        loss1 = first.sum(first.mul(w1, w1))
+        w2 = second.param(store, "w")
+        loss2 = second.sum(second.tanh(w2))
+        assert w1 is not w2
+        second.backward(loss2)
+        assert w1.grad is None
+        first.backward(loss1)
+        assert np.array_equal(first.leaves["w"].grad, 2 * x)
+        assert np.array_equal(second.leaves["w"].grad,
+                              1.0 - np.tanh(x) * np.tanh(x))
+
+    def test_no_tape_outlives_fit(self, monkeypatch):
+        # once fit returns, nothing of the model holds a tape, and no
+        # reference cycle keeps one for the collector
+        made = []
+
+        class RecordedTape(Tape):
+            # a subclass without __slots__ takes weak references
+            def __init__(self):
+                super().__init__()
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(nn, "Tape", RecordedTape)
+        seqs = [["a", "b"], ["c"], ["a", "c", "d"]]
+        gc.disable()
+        try:
+            model, _ = train_planner([(seqs, [2, 0])], PlannerHyper(
+                emb_dim=4, hidden=3, epochs=2, seed=0))
+            assert len(made) == 2 and model.store
+            assert all(ref() is None for ref in made)
+        finally:
+            gc.enable()
 
 
 class TestLSTM:
@@ -43,38 +105,39 @@ class TestLSTM:
         store = ParamStore()
         store.create_lstm("c", 3, 5, rng)
         tape = Tape()
-        store.bind(tape)
         h, c = lstm_step(tape, tape.zeros((1, 3)), tape.zeros((1, 5)),
-                         tape.zeros((1, 5)), store.t("c.W"), store.t("c.b"))
+                         tape.zeros((1, 5)), tape.param(store, "c.W"),
+                         tape.param(store, "c.b"))
         assert h.shape == (1, 5) and c.shape == (1, 5)
 
     def test_shapes_batched(self, rng):
         store = ParamStore()
         store.create_lstm("c", 3, 5, rng)
         tape = Tape()
-        store.bind(tape)
         h, c = lstm_step(tape, tape.zeros((7, 3)), tape.zeros((7, 5)),
-                         tape.zeros((7, 5)), store.t("c.W"), store.t("c.b"))
+                         tape.zeros((7, 5)), tape.param(store, "c.W"),
+                         tape.param(store, "c.b"))
         assert h.shape == (7, 5)
 
     def test_weight_shape_checked(self, rng):
         store = ParamStore()
         store.create_lstm("c", 3, 5, rng)
         tape = Tape()
-        store.bind(tape)
         with pytest.raises(ShapeError):
             lstm_step(tape, tape.zeros((1, 4)), tape.zeros((1, 5)),
-                      tape.zeros((1, 5)), store.t("c.W"), store.t("c.b"))
+                      tape.zeros((1, 5)), tape.param(store, "c.W"),
+                      tape.param(store, "c.b"))
 
     def test_bilstm_positions_and_width(self, rng):
         store = ParamStore()
         store.create_lstm("f", 3, 4, rng)
         store.create_lstm("b", 3, 4, rng)
         tape = Tape()
-        store.bind(tape)
         seq = [tape.tensor(rng.normal(size=(1, 3))) for _ in range(6)]
-        states = bilstm_encode(tape, seq, store.t("f.W"), store.t("f.b"),
-                               store.t("b.W"), store.t("b.b"), 4)
+        states = bilstm_encode(tape, seq, tape.param(store, "f.W"),
+                               tape.param(store, "f.b"),
+                               tape.param(store, "b.W"),
+                               tape.param(store, "b.b"), 4)
         assert len(states) == 6
         assert all(s.shape == (1, 8) for s in states)
 
@@ -83,24 +146,23 @@ class TestLSTM:
         store.create_lstm("f", 3, 4, rng)
         store.create_lstm("b", 3, 4, rng)
         tape = Tape()
-        store.bind(tape)
         with pytest.raises(ValueError):
-            bilstm_encode(tape, [], store.t("f.W"), store.t("f.b"),
-                          store.t("b.W"), store.t("b.b"), 4)
+            bilstm_encode(tape, [], tape.param(store, "f.W"),
+                          tape.param(store, "f.b"), tape.param(store, "b.W"),
+                          tape.param(store, "b.b"), 4)
 
     def test_lstm_grad_check(self, rng):
         store = ParamStore()
         store.create_lstm("c", 2, 3, rng)
         x = rng.normal(size=(1, 2))
 
-        def loss_fn():
-            tape = Tape()
-            store.bind(tape)
+        def loss_fn(tape):
             h, c = lstm_step(tape, tape.tensor(x), tape.zeros((1, 3)),
-                             tape.zeros((1, 3)), store.t("c.W"),
-                             store.t("c.b"))
+                             tape.zeros((1, 3)), tape.param(store, "c.W"),
+                             tape.param(store, "c.b"))
             h, c = lstm_step(tape, tape.tensor(x), h, c,
-                             store.t("c.W"), store.t("c.b"))
+                             tape.param(store, "c.W"),
+                             tape.param(store, "c.b"))
             return tape.sum(h)
 
         assert grad_check(loss_fn, store) < 1e-6
@@ -112,10 +174,10 @@ class TestAdagrad:
         p = store.create("w", (3,), rng)
         before = p.data.copy()
         tape = Tape()
-        store.bind(tape)
-        tape.backward(tape.sum(tape.mul(store.t("w"), store.t("w"))))
+        w = tape.param(store, "w")
+        tape.backward(tape.sum(tape.mul(w, w)))
         g = 2 * before
-        adagrad_step(store, lr=0.1)
+        adagrad_step(store, tape.leaves, lr=0.1)
         expected = before - 0.1 * g / (np.sqrt(g * g) + ADAGRAD_EPS)
         assert np.allclose(p.data, expected)
         assert np.allclose(p.accumulator, g * g)
@@ -126,9 +188,9 @@ class TestAdagrad:
         p = store.create("w", (4,), rng)
         before = p.data.copy()
         tape = Tape()
-        store.bind(tape)
-        tape.backward(tape.sum(tape.mul(store.t("w"), store.t("w"))))
-        adagrad_step(store, lr=0.05)
+        w = tape.param(store, "w")
+        tape.backward(tape.sum(tape.mul(w, w)))
+        adagrad_step(store, tape.leaves, lr=0.05)
         assert np.allclose(np.abs(p.data - before), 0.05, atol=1e-6)
 
     def test_clip_rescales_global_norm(self, rng):
@@ -137,11 +199,11 @@ class TestAdagrad:
         p.data[:] = [30.0, 40.0]
         before = p.data.copy()
         tape = Tape()
-        store.bind(tape)
         # loss = 0.5 * sum(w^2) has gradient w, norm 50
         tape.backward(tape.scale(tape.sum(
-            tape.mul(store.t("w"), store.t("w"))), 0.5))
-        adagrad_step(store, lr=1.0)
+            tape.mul(tape.param(store, "w"), tape.param(store, "w"))),
+            0.5))
+        adagrad_step(store, tape.leaves, lr=1.0)
         g = before * (GRAD_CLIP / 50.0)
         expected = before - g / (np.sqrt(g * g) + ADAGRAD_EPS)
         assert np.allclose(p.data, expected)
@@ -149,33 +211,26 @@ class TestAdagrad:
     def test_bad_lr_rejected(self, rng):
         store = _store_with(rng, w=(2,))
         with pytest.raises(ValueError):
-            adagrad_step(store, lr=0.0)
+            adagrad_step(store, {}, lr=0.0)
 
 
 class TestGradCheck:
     def test_detects_correct_gradient(self, rng):
         store = _store_with(rng, w=(4,))
 
-        def loss_fn():
-            tape = Tape()
-            store.bind(tape)
-            return tape.sum(tape.tanh(store.t("w")))
+        def loss_fn(tape):
+            return tape.sum(tape.tanh(tape.param(store, "w")))
 
         assert grad_check(loss_fn, store) < 1e-7
 
     def test_detects_broken_gradient(self, rng):
         store = _store_with(rng, w=(3,))
 
-        class BrokenTape(Tape):
-            def tanh(self, a):
-                out = super().tanh(a)
-                self.nodes[-1] = lambda: a.accum(out.grad * 2.0)  # wrong
-                return out
-
-        def loss_fn():
-            tape = BrokenTape()
-            store.bind(tape)
-            return tape.sum(tape.tanh(store.t("w")))
+        def loss_fn(tape):
+            w = tape.param(store, "w")
+            out = tape.tanh(w)
+            tape.nodes[-1] = lambda: w.accum(out.grad * 2.0)  # wrong
+            return tape.sum(out)
 
         assert grad_check(loss_fn, store) > 1e-2
 

@@ -24,7 +24,6 @@ class TestEncodeCandidates:
     def test_shape(self):
         model = tiny_model(SEQS)
         tape = Tape()
-        model.store.bind(tape)
         reps = encode_candidates(tape, model, [model.token_ids(s) for s in SEQS])
         assert reps.shape == (4, TINY.rep_dim)
 
@@ -33,19 +32,18 @@ class TestEncodeCandidates:
         model = tiny_model(SEQS)
         ids = [model.token_ids(s) for s in SEQS]
         tape = Tape()
-        model.store.bind(tape)
         batched = encode_candidates(tape, model, ids).data
 
         store = model.store
         for i, seq in enumerate(ids):
             t2 = Tape()
-            store.bind(t2)
-            emb = store.t("emb")
+            emb = t2.param(store, "emb")
             xs = [t2.gather_rows(emb, [tok]) for tok in seq]
-            states = bilstm_encode(t2, xs, store.t("enc_f.W"),
-                                   store.t("enc_f.b"), store.t("enc_b.W"),
-                                   store.t("enc_b.b"), TINY.hidden)
-            scores = np.array([float(s.data[0] @ store.t("query_d").data[0])
+            states = bilstm_encode(t2, xs, t2.param(store, "enc_f.W"),
+                                   t2.param(store, "enc_f.b"),
+                                   t2.param(store, "enc_b.W"),
+                                   t2.param(store, "enc_b.b"), TINY.hidden)
+            scores = np.array([float(s.data[0] @ store["query_d"].data[0])
                                for s in states])
             alpha = np.exp(scores - scores.max())
             alpha /= alpha.sum()
@@ -56,10 +54,8 @@ class TestEncodeCandidates:
         model = tiny_model(SEQS)
         ids = [model.token_ids(s) for s in SEQS]
         tape = Tape()
-        model.store.bind(tape)
         fwd = encode_candidates(tape, model, ids).data
         t2 = Tape()
-        model.store.bind(t2)
         rev = encode_candidates(t2, model, ids[::-1]).data
         assert np.allclose(fwd, rev[::-1])
 
@@ -95,7 +91,6 @@ class TestEncodeCandidates:
         dups = [g for g in groups.values() if len(g) > 1]
         assert len(dups) >= 8
         tape = Tape()
-        model.store.bind(tape)
         for reps in (encode_candidates(tape, model, ids).data,
                      encode_candidates(NO_GRAD, model, ids)):
             for group in dups:
@@ -105,7 +100,6 @@ class TestEncodeCandidates:
     def test_empty_candidate_rejected(self):
         model = tiny_model(SEQS)
         tape = Tape()
-        model.store.bind(tape)
         with pytest.raises(ValueError):
             encode_candidates(tape, model, [[1], []])
 
@@ -113,7 +107,6 @@ class TestEncodeCandidates:
 class TestContextualize:
     def _reps(self, model, k=4):
         tape = Tape()
-        model.store.bind(tape)
         reps = tape.tensor(np.random.default_rng(1).normal(
             size=(k, model.hyper.rep_dim)))
         return tape, reps
@@ -131,7 +124,7 @@ class TestContextualize:
         out = contextualize(tape, model, reps).data
         store = model.store
         att = np.concatenate([reps.data,
-                              np.zeros_like(reps.data)], axis=1) @ store.t("W_g").data
+                              np.zeros_like(reps.data)], axis=1) @ store["W_g"].data
         expected = (1 / (1 + np.exp(-att))) * reps.data
         assert np.allclose(out, expected)
 
@@ -142,7 +135,7 @@ class TestContextualize:
         store = model.store
         out = contextualize(tape, model, reps).data
         ctx = reps.data[::-1]  # softmax over a single allowed position
-        att = np.concatenate([reps.data, ctx], axis=1) @ store.t("W_g").data
+        att = np.concatenate([reps.data, ctx], axis=1) @ store["W_g"].data
         expected = (1 / (1 + np.exp(-att))) * reps.data
         assert np.allclose(out, expected)
 
@@ -155,10 +148,9 @@ class TestPointerStep:
         reps = rng.normal(size=(5, n))
         h = rng.normal(size=(1, n))
         tape = Tape()
-        model.store.bind(tape)
         dist = pointer_step(tape, model, tape.tensor(h),
                             tape.tensor(reps)).data
-        logits = (h @ model.store.t("W_b").data) @ reps.T
+        logits = (h @ model.store["W_b"].data) @ reps.T
         ex = np.exp(logits - logits.max())
         assert dist.shape == (1, 5)
         assert np.allclose(dist, ex / ex.sum())
@@ -180,7 +172,6 @@ class TestPointerStep:
         model = tiny_model(SEQS)
         model.store["W_b"].data[:] = 0.0
         tape = Tape()
-        model.store.bind(tape)
         rng = np.random.default_rng(3)
         dist = pointer_step(tape, model,
                             tape.tensor(rng.normal(size=(1, TINY.rep_dim))),
@@ -190,7 +181,6 @@ class TestPointerStep:
     def test_distribution_normalized(self):
         model = tiny_model(SEQS)
         tape = Tape()
-        model.store.bind(tape)
         rng = np.random.default_rng(4)
         dist = pointer_step(tape, model,
                             tape.tensor(rng.normal(size=(1, TINY.rep_dim))),
@@ -205,7 +195,6 @@ class TestTraining:
         model = tiny_model(SEQS)
         model.store["W_b"].data[:] = 0.0
         tape = Tape()
-        model.store.bind(tape)
         ids = [model.token_ids(s) for s in SEQS]
         loss = instance_loss(tape, model, ids, [0, 2])
         assert float(loss.data) == pytest.approx(3 * np.log(5), rel=1e-6)
