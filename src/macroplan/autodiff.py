@@ -229,7 +229,7 @@ class Tape:
         """The mean along ``axis``, kept as an axis of one (the mean row of
         a stack, for ``axis=0``), or of every element as 0-D."""
         k = 1.0 / (a.data.size if axis is None else a.data.shape[axis])
-        out = Tensor(np.sum(a.data, axis=axis, keepdims=axis is not None) * k)
+        out = Tensor(NoGrad.mean(a.data, axis))
         self._record(out, lambda: a.accum(
             np.broadcast_to(out.grad * k, a.data.shape)))
         return out
@@ -329,6 +329,13 @@ class NoGrad:
     @staticmethod
     def sigmoid(a):
         return 1.0 / (1.0 + np.exp(-a))
+
+    @staticmethod
+    def mean(a, axis=None):
+        """The sum times 1/K, so that training and inference take one
+        formula (numpy's ``mean`` divides, which rounds differently)."""
+        k = 1.0 / (a.size if axis is None else a.shape[axis])
+        return np.sum(a, axis=axis, keepdims=axis is not None) * k
 
     @staticmethod
     def softmax(a, axis: int = -1, mask=None):

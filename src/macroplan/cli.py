@@ -44,6 +44,9 @@ class StageError(RuntimeError):
 
 #: the JSON values each annotation of a ``RunConfig`` field accepts
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str}
+#: the least value of each ``RunConfig`` field below which a stage would
+#: fail late (no epoch, no NLL to report) or quietly misread it
+_MINIMUM = {"planner_epochs": 1, "generator_epochs": 1, "holdout": 0}
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,12 @@ class RunConfig:
     generator_trunc: int = 100
     generator_max_len: int = 400
     beam: int = 5
+
+    def __post_init__(self):
+        for key, least in _MINIMUM.items():
+            if getattr(self, key) < least:
+                raise ValueError(f"config key {key!r} must be at least "
+                                 f"{least}, not {getattr(self, key)!r}")
 
     @staticmethod
     def from_file(path) -> "RunConfig":
@@ -230,7 +239,10 @@ def _load_model(out: Path, prefix: str, model_cls, hyper):
     must have the names and shapes the config and vocabulary make."""
     params, vocab = (out / name for name in _checkpoint(prefix))
     store = load_params(params)
-    ids = {k: int(v) for k, v in json.loads(vocab.read_text()).items()}
+    ids = json.loads(vocab.read_text())
+    if not isinstance(ids, dict):
+        raise ValueError(f"{vocab}: vocabulary must be a JSON object")
+    ids = {k: int(v) for k, v in ids.items()}
     shapes = {name: p.data.shape for name, p in store.items()}
     for name, p in model_cls.init(ids, hyper,
                                   np.random.default_rng(0)).store.items():
@@ -303,7 +315,7 @@ def _gold_train_split(cfg: RunConfig, out: Path):
     plans = read_plan_file(out / "plans_gold.txt", games)
     if cfg.holdout >= len(games):
         raise ValueError("holdout leaves no training games")
-    return games[:len(games) - cfg.holdout] if cfg.holdout else games, plans
+    return games[:len(games) - cfg.holdout], plans
 
 
 def _planner_dataset(cfg: RunConfig, out: Path):
@@ -477,12 +489,12 @@ def run(subcommand: str, cfg: RunConfig, out: Path) -> int:
         print(f"unknown subcommand {subcommand!r}", file=sys.stderr)
         return 2
     stage = STAGES[subcommand]
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        out.mkdir(parents=True, exist_ok=True)
         _require(out, subcommand, stage.needs)
         stage.fn(cfg, out)
         _update_manifest(out, subcommand, stage.makes)
-    except (StageError, ValueError, FileNotFoundError) as exc:
+    except (StageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -312,7 +312,7 @@ class _PointerDecoder:
         self.W = NO_GRAD.param(store, "dec.W")
         self.b = NO_GRAD.param(store, "dec.b")
         #: the root beam: no pointers, h the mean candidate, c zero
-        self.h0 = self.reps_c.mean(axis=0, keepdims=True)
+        self.h0 = NO_GRAD.mean(self.reps_c, axis=0)
 
     def step(self, pointers: np.ndarray, h: np.ndarray, c: np.ndarray):
         """New (h, c) and the distribution over candidates plus EOM, one row

@@ -88,6 +88,20 @@ class TestRunConfig:
         assert capsys.readouterr().err == \
             f"error: invalid config: unknown config keys: ['{key}']\n"
 
+    @pytest.mark.parametrize("key, value, least", [
+        ("planner_epochs", 0, 1), ("generator_epochs", 0, 1),
+        ("holdout", -1, 0)])
+    def test_out_of_range_is_one_error_line(self, tmp_path, capsys, key,
+                                            value, least):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        assert main(["synth", "--config", str(path),
+                     "--out", str(tmp_path / "work")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: invalid config: config key '{key}' must be at least "
+            f"{least}, not {value}\n")
+        assert not (tmp_path / "work").exists()
+
 
 class TestPlanLineFormat:
     def test_round_trip(self, demo_game):
@@ -200,6 +214,27 @@ class TestStageOrdering:
             assert stage.makes, name
             assert set(stage.needs) <= made, name
             made |= set(stage.makes)
+
+    @pytest.mark.parametrize("case", ["out-is-a-file", "games-is-a-directory",
+                                      "vocab-not-an-object"])
+    def test_bad_input_path_is_one_error_line(self, generated, tmp_path,
+                                              capsys, case):
+        out = tmp_path / "out"
+        if case == "out-is-a-file":
+            stage, bad = "synth", out
+            out.write_text("")
+        elif case == "games-is-a-directory":
+            stage, bad = "derive-plans", out / "games.jsonl"
+            bad.mkdir(parents=True)
+        else:
+            stage, bad = "plan", out / "planner_vocab.json"
+            shutil.copytree(generated, out)
+            bad.write_text("[1, 2]\n")
+        capsys.readouterr()
+        assert run(stage, SMALL, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err
 
     def test_unknown_stage_rejected(self, tmp_path, capsys):
         assert run("bogus-stage", SMALL, tmp_path) == 2

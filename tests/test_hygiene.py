@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: every import in the package and
-the scripts is used, none takes an underscore name from another module, and
-every private top-level function and class is used.
+the scripts is used, none takes an underscore name from another module, no
+code reads an underscore attribute of an object but ``self`` or ``cls``,
+and every private top-level function and class is used.
 Every public top-level function and class of the package is referenced by
 the package, the scripts or the tests, and every top-level definition and
 method is reached from a stage or from a named acceptance oracle.  Every
@@ -92,6 +93,27 @@ def test_no_private_imports_across_modules():
              for path in SOURCES
              for name, line in _private_imports(ast.parse(path.read_text()))]
     assert not found, "underscore names imported from another module: " \
+        + ", ".join(found)
+
+
+def _private_attribute_reads(tree):
+    """(expression, line) of every read of an underscore attribute, dunders
+    aside, of an object other than ``self`` or ``cls``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(
+                node.ctx, ast.Load) and node.attr.startswith("_") \
+                and not _is_dunder(node.attr) and not (
+                    isinstance(node.value, ast.Name)
+                    and node.value.id in ("self", "cls")):
+            yield ast.unparse(node), node.lineno
+
+
+def test_no_private_attribute_reads():
+    found = [f"{path.relative_to(ROOT)}: {expr} (line {line})"
+             for path in SOURCES
+             for expr, line in _private_attribute_reads(
+                 ast.parse(path.read_text()))]
+    assert not found, "underscore attributes read from another object: " \
         + ", ".join(found)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import macroplan.planner as planner_mod
-from macroplan.autodiff import Tape, Tensor
+from macroplan.autodiff import NO_GRAD, Tape, Tensor
 from macroplan.generator import (BOS, EOS, UNK, GeneratorHyper,
                                  GeneratorModel, _output_dists,
                                  build_gen_vocab, decode_step, encode_plan,
@@ -56,7 +56,7 @@ def oracle_infer_plan(candidate_token_seqs, model, beam_size=5,
     all_reps = _reps_with_eom(tape, model, reps_c)
     k = len(id_seqs)
 
-    h0 = reps_c.data.mean(axis=0, keepdims=True)
+    h0 = NO_GRAD.mean(reps_c.data, axis=0)
     beams = [BeamHypothesis((), 0.0, h0, np.zeros_like(h0))]
     finished = []
     for _step in range(planner_mod.MAX_PLAN_LEN + 1):
@@ -103,7 +103,7 @@ def oracle_greedy_plan(candidate_token_seqs, model, unigram_cap=False):
     all_reps = _reps_with_eom(tape, model, reps_c)
     k = len(id_seqs)
 
-    h = tape.tensor(reps_c.data.mean(axis=0, keepdims=True))
+    h = tape.tensor(NO_GRAD.mean(reps_c.data, axis=0))
     c = tape.zeros(h.data.shape)
     x = tape.param(store, "start")
     pointers = ()

@@ -3,10 +3,11 @@ import pytest
 
 from macroplan.autodiff import NO_GRAD, Tape
 from macroplan.nn import ParamStore, bilstm_encode
-from macroplan.planner import (PlannerHyper, PlannerModel, _allowed, _trie,
-                               build_vocab, contextualize, encode_candidates,
-                               greedy_plan, infer_plan, instance_loss,
-                               linearize, pointer_step, train_planner)
+from macroplan.planner import (PlannerHyper, PlannerModel, _PointerDecoder,
+                               _allowed, _forward_reps, _trie, build_vocab,
+                               contextualize, encode_candidates, greedy_plan,
+                               infer_plan, instance_loss, linearize,
+                               pointer_step, train_planner)
 from macroplan.verbalize import ParagraphPlanSpec
 
 TINY = PlannerHyper(emb_dim=8, hidden=6, epochs=1, seed=0)
@@ -273,6 +274,17 @@ class TestInference:
             g = greedy_plan(SEQS, model, unigram_cap=cap)
             b = infer_plan(SEQS, model, beam_size=1, unigram_cap=cap)
             assert g.pointer_sequence == b.pointer_sequence
+
+    def test_decoder_starts_from_trainings_first_state(self):
+        # the root beam's h is training's first decoder state to the bit;
+        # 1/K is inexact for K = 7
+        seqs = SEQS + [["b"], ["c", "d"], ["i", "h", "g"]]
+        model = tiny_model(seqs, hyper=PlannerHyper(emb_dim=8, hidden=64))
+        tape = Tape()
+        reps_c = _forward_reps(tape, model, [model.token_ids(s)
+                                             for s in seqs])
+        assert np.array_equal(_PointerDecoder(model, seqs).h0,
+                              tape.mean(reps_c, axis=0).data)
 
     def test_overfit_recovers_plan(self):
         model = self._trained()
