@@ -44,8 +44,9 @@ class StageError(RuntimeError):
 
 #: the JSON values each annotation of a ``RunConfig`` field accepts
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str}
-#: the least value of each ``RunConfig`` field below which a stage would
-#: fail late (no epoch, no NLL to report) or quietly misread it
+#: the least value of the ``RunConfig`` fields that have one: with no epoch
+#: a training stage has no NLL to report, and a negative holdout would
+#: train on every game
 _MINIMUM = {"planner_epochs": 1, "generator_epochs": 1, "holdout": 0}
 
 
