@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from macroplan.autodiff import NO_GRAD, Tape
-from macroplan.nn import ParamStore, bilstm_encode
+from macroplan.nn import bilstm_encode
 from macroplan.planner import (PlannerHyper, PlannerModel, _PointerDecoder,
                                _allowed, _forward_reps, _trie, build_vocab,
                                contextualize, encode_candidates, greedy_plan,
