@@ -45,9 +45,12 @@ class StageError(RuntimeError):
 #: the JSON values each annotation of a ``RunConfig`` field accepts
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 #: the least value of the ``RunConfig`` fields that have one: with no epoch
-#: a training stage has no NLL to report, and a negative holdout would
-#: train on every game
-_MINIMUM = {"planner_epochs": 1, "generator_epochs": 1, "holdout": 0}
+#: a training stage has no NLL to report, a negative holdout would train on
+#: every game, a beam search needs one hypothesis and one step, truncated
+#: BPTT one step per segment, and a team one batter and one pitcher
+_MINIMUM = {"planner_epochs": 1, "generator_epochs": 1, "holdout": 0,
+            "beam": 1, "generator_max_len": 1, "generator_trunc": 1,
+            "batters_per_team": 1, "pitchers_per_team": 1}
 
 
 @dataclass(frozen=True)
@@ -515,11 +518,6 @@ def main(argv=None) -> int:
                         default=None)
     args = parser.parse_args(argv)
 
-    try:
-        cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    except (OSError, ValueError, TypeError) as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return 1
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -527,8 +525,12 @@ def main(argv=None) -> int:
         overrides["beam"] = args.beam
     if args.kind is not None:
         overrides["kind"] = args.kind
-    if overrides:
+    try:
+        cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
         cfg = replace(cfg, **overrides)
+    except (OSError, ValueError, TypeError) as exc:
+        print(f"error: invalid config: {exc}", file=sys.stderr)
+        return 1
     return run(args.subcommand, cfg, Path(args.out))
 
 

@@ -7,17 +7,14 @@ mixes vocabulary generation with copying from plan positions.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import NO_GRAD, NoGrad, Tape, Tensor
-from .nn import (ParamStore, best_hypothesis, bilstm_encode, fit,
-                 lstm_sequence, lstm_step, rank_expansions)
+from .nn import (ParamStore, beam_search, bilstm_encode, fit, lstm_sequence,
+                 lstm_step)
 from .verbalize import strip_marker
-
-log = logging.getLogger(__name__)
 
 __all__ = [
     "GeneratorHyper",
@@ -196,8 +193,9 @@ def instance_loss(tape: Tape, model: GeneratorModel, plan_tokens: list[str],
 
 def train_generator(pairs, hyper: GeneratorHyper
                     ) -> tuple[GeneratorModel, list[float]]:
-    """``pairs`` is a list of (plan tokens, target subword tokens).  Returns
-    the trained model and the per-epoch mean per-token NLL."""
+    """``pairs`` is a list of (plan tokens, target tokens).  Returns the
+    trained model and the per-epoch mean NLL per prediction: each target
+    token and the EOS after them."""
     if not pairs:
         raise ValueError("empty generator training set")
     for idx, (plan_tokens, target_tokens) in enumerate(pairs):
@@ -254,54 +252,27 @@ class _ExtendedVocab:
 
 def generate(plan_tokens: list[str], model: GeneratorModel,
              beam_size: int) -> list[str]:
-    """Beam-search decode a token sequence (EOS excluded) for the plan, of at
-    most ``hyper.max_len`` tokens.
-
-    Copy emissions surface as the marker-stripped plan token.  The beam is
-    held as arrays: (B, t) extended-vocabulary indices, (B,) log probs,
-    (B, n) states and the (B,) lexicographic rank of the histories.  Final
-    ranking is by length-normalized log probability.
-    """
-    if beam_size < 1:
-        raise ValueError("beam_size must be >= 1")
+    """Beam-search decode (:func:`nn.beam_search`) a token sequence of at most
+    ``hyper.max_len`` tokens before EOS, EOS excluded, for the plan, ranked
+    by length-normalized log probability.  Copy emissions surface as the
+    marker-stripped plan token."""
     S, h0, c0 = encode_plan(NO_GRAD, model,
                             [model.token_id(t) for t in plan_tokens])
     ext = _ExtendedVocab(model, plan_tokens)
-
     emb, W_dec, b_dec = (NO_GRAD.param(model.store, name)
                          for name in ("emb", "dec.W", "dec.b"))
+    bos = np.array([model.token_id(BOS)])
 
-    tokens = np.zeros((1, 0), dtype=np.int64)
-    logprob, rank = np.zeros(1), np.zeros(1, dtype=np.int64)
-    h, c = h0, c0
-    prev = np.array([model.token_id(BOS)])  # decoder input id of each row
-    finished = []                      # (log prob, tokens) of each EOS
-    for _step in range(model.hyper.max_len):
-        h, c = lstm_step(NO_GRAD, NO_GRAD.gather_rows(emb, prev), h, c,
+    def step(tokens, states):
+        # each row's decoder input: its last surface, or BOS at the root
+        prev = ext.input_id[tokens[:, -1]] if tokens.shape[1] else bos
+        h, c = lstm_step(NO_GRAD, NO_GRAD.gather_rows(emb, prev), *states,
                          W_dec, b_dec)
         comb, alpha = decode_step(NO_GRAD, model, S, h)
         p_gen, p_copy = _output_dists(NO_GRAD, model, comb)
-        dist = ext.mix(p_gen, p_copy, alpha)
-        # per row, the likeliest surfaces, ties to the lower index
-        top = np.argsort(-dist, axis=1, kind="stable")[:, :beam_size + 1]
-        logp = logprob[:, None] + np.log(np.maximum(
-            np.take_along_axis(dist, top, axis=1), 1e-300))
-        if tokens.shape[1]:
-            rows, cols = np.nonzero(top == ext.eos)
-            finished += zip(logp[rows, cols].tolist(),
-                            map(tuple, tokens[rows].tolist()))
-        rows, cols = np.nonzero(top != ext.eos)
-        if not rows.size:
-            break
-        keep, rank = rank_expansions(logp[rows, cols], rows, top[rows, cols],
-                                     rank, beam_size)
-        parent, cols = rows[keep], cols[keep]
-        token = top[parent, cols]
-        tokens = np.column_stack([tokens[parent], token])
-        logprob, h, c = logp[parent, cols], h[parent], c[parent]
-        prev = ext.input_id[token]
+        return (h, c), np.log(np.maximum(ext.mix(p_gen, p_copy, alpha),
+                                         1e-300))
 
-    if not finished:
-        log.warning("generation hit the length cap without end-of-sequence")
-        finished = zip(logprob.tolist(), map(tuple, tokens.tolist()))
-    return [ext.surfaces[j] for j in best_hypothesis(finished)]
+    best = beam_search(step, (h0, c0), ext.eos, beam_size,
+                       model.hyper.max_len)
+    return [ext.surfaces[j] for j in best]

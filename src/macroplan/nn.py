@@ -1,5 +1,5 @@
-"""Parameters, LSTM cells, Adagrad, gradient checking, the beam-search
-ranking rules and checkpoint I/O.
+"""Parameters, LSTM cells, Adagrad, gradient checking, the beam search both
+decoders run and checkpoint I/O.
 
 A :class:`ParamStore` holds each parameter's value and Adagrad accumulator
 and nothing of a training step: the step's leaves and gradients live on its
@@ -24,6 +24,7 @@ __all__ = [
     "fit",
     "rank_expansions",
     "best_hypothesis",
+    "beam_search",
     "grad_check",
     "save_params",
     "load_params",
@@ -191,6 +192,49 @@ def best_hypothesis(pairs) -> tuple:
     """The history of the best (log prob, history tuple) pair, by log prob
     per step, the smaller history on a tie."""
     return min(pairs, key=lambda p: (-(p[0] / max(len(p[1]), 1)), p[1]))[1]
+
+
+def beam_search(step, states: tuple, end: int, beam_size: int,
+                max_len: int) -> tuple:
+    """The best history, by :func:`best_hypothesis`, of 1 to ``max_len``
+    actions that a beam search finishes with ``end``.
+
+    ``step(history, states)`` maps the (B, t) histories and a tuple of
+    (B, n) states, the root's one row at first, to new states and the
+    (B, A) log probs of each row's next action, -inf where blocked.  Every
+    live history of one or more actions finishes at its log prob of
+    ``end``; while t < ``max_len``, the ``beam_size`` best other expansions
+    by :func:`rank_expansions` stay live, with the rank of their
+    histories."""
+    if beam_size < 1:
+        raise ValueError(f"beam_size must be at least 1, not {beam_size}")
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1, not {max_len}")
+    history = np.zeros((1, 0), dtype=np.int64)
+    logprob, rank = np.zeros(1), np.zeros(1, dtype=np.int64)
+    finished = []                      # (log prob, history) of each end
+    while True:
+        states, logp = step(history, states)
+        logp = logprob[:, None] + logp
+        if history.shape[1]:
+            finished += zip(logp[:, end].tolist(), map(tuple, history.tolist()))
+        if history.shape[1] == max_len:
+            break
+        logp[:, end] = -np.inf
+        flat = logp.ravel()
+        m = min(beam_size, int(np.isfinite(flat).sum()))
+        if not m:
+            break
+        # rank only the expansions scoring at least the m-th best
+        cand = np.flatnonzero(flat >= np.partition(flat, -m)[-m])
+        parent, token = np.divmod(cand, logp.shape[1])
+        keep, rank = rank_expansions(flat[cand], parent, token, rank,
+                                     beam_size)
+        parent = parent[keep]
+        history = np.column_stack([history[parent], token[keep]])
+        logprob = flat[cand[keep]]
+        states = tuple(s[parent] for s in states)
+    return best_hypothesis(finished)
 
 
 def grad_check(loss_fn, store: ParamStore, max_coords: int | None = None,

@@ -11,8 +11,7 @@ import numpy as np
 
 from .autodiff import NO_GRAD, NoGrad, Tape, Tensor
 from .data import Game
-from .nn import (ParamStore, best_hypothesis, fit, lstm_sequence, lstm_step,
-                 rank_expansions)
+from .nn import ParamStore, beam_search, fit, lstm_sequence, lstm_step
 from .verbalize import PARAGRAPH_SEP, ParagraphPlanSpec, verbalize_plan
 
 log = logging.getLogger(__name__)
@@ -332,42 +331,21 @@ class _PointerDecoder:
 
 def infer_plan(candidate_token_seqs, model: PlannerModel, beam_size: int = 5,
                unigram_cap: bool = False) -> MacroPlan:
-    """Beam search over pointer sequences with bigram blocking, an optional
-    two-occurrence unigram cap, and length-normalized final ranking.
-
-    The beam is held as arrays: (B, t) pointers, (B,) log probs, (B, n)
-    states and the (B,) lexicographic rank of the pointer histories."""
-    if beam_size < 1:
-        raise ValueError("beam_size must be >= 1")
+    """Beam search (:func:`nn.beam_search`) over pointer sequences of at most
+    :data:`MAX_PLAN_LEN` pointers before EOM, with bigram blocking, an
+    optional two-occurrence unigram cap, and length-normalized final
+    ranking."""
     dec = _PointerDecoder(model, candidate_token_seqs)
     k = dec.k
 
-    pointers = np.zeros((1, 0), dtype=np.int64)
-    logprob, rank = np.zeros(1), np.zeros(1, dtype=np.int64)
-    h, c = dec.h0, np.zeros_like(dec.h0)
-    finished = []                      # (log prob, pointers) of each EOM
-    while True:
-        h, c, dist = dec.step(pointers, h, c)
-        logp = logprob[:, None] + np.log(np.maximum(dist, 1e-300))
-        if pointers.shape[1]:
-            finished += zip(logp[:, k].tolist(), map(tuple, pointers.tolist()))
-        if pointers.shape[1] == MAX_PLAN_LEN:
-            break
-        allowed = _allowed(pointers, k, unigram_cap)
-        if not allowed.any():
-            break
-        flat = np.where(allowed, logp[:, :k], -np.inf).ravel()
-        # rank only the expansions scoring at least the beam_size-th best
-        m = min(beam_size, int(allowed.sum()))
-        cand = np.flatnonzero(flat >= np.partition(flat, flat.size - m)
-                              [flat.size - m])
-        keep, rank = rank_expansions(flat[cand], cand // k, cand % k, rank,
-                                     beam_size)
-        cand = cand[keep]
-        parent = cand // k
-        pointers = np.column_stack([pointers[parent], cand % k])
-        logprob, h, c = flat[cand], h[parent], c[parent]
-    return MacroPlan(best_hypothesis(finished))
+    def step(pointers, states):
+        h, c, dist = dec.step(pointers, *states)
+        logp = np.log(np.maximum(dist, 1e-300))
+        logp[:, :k][~_allowed(pointers, k, unigram_cap)] = -np.inf
+        return (h, c), logp
+
+    return MacroPlan(beam_search(step, (dec.h0, np.zeros_like(dec.h0)), k,
+                                 beam_size, MAX_PLAN_LEN))
 
 
 def greedy_plan(candidate_token_seqs, model: PlannerModel,

@@ -90,7 +90,9 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("key, value, least", [
         ("planner_epochs", 0, 1), ("generator_epochs", 0, 1),
-        ("holdout", -1, 0)])
+        ("holdout", -1, 0), ("beam", 0, 1), ("generator_max_len", 0, 1),
+        ("generator_trunc", 0, 1), ("batters_per_team", 0, 1),
+        ("pitchers_per_team", 0, 1)])
     def test_out_of_range_is_one_error_line(self, tmp_path, capsys, key,
                                             value, least):
         path = tmp_path / "cfg.json"
@@ -100,6 +102,14 @@ class TestRunConfig:
         assert capsys.readouterr().err == (
             f"error: invalid config: config key '{key}' must be at least "
             f"{least}, not {value}\n")
+        assert not (tmp_path / "work").exists()
+
+    def test_beam_flag_out_of_range_is_one_error_line(self, tmp_path, capsys):
+        assert main(["synth", "--beam", "0",
+                     "--out", str(tmp_path / "work")]) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid config: config key 'beam' must be at least 1, "
+            "not 0\n")
         assert not (tmp_path / "work").exists()
 
 

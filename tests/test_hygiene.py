@@ -10,7 +10,8 @@ benchmark (or, for an oracle, by the check it serves), and every parameter
 is read by its function's body unless the function is passed around as a
 value.  Every field of a package dataclass is read as an attribute by the
 package, the scripts or the benchmark, but for a short allowlist.  Every
-``Tape`` op has a primitive gradient check in AC1."""
+``Tape`` op has a primitive gradient check in AC1, and no module but ``nn``
+applies the beam-search rules."""
 
 import ast
 from collections import defaultdict
@@ -148,6 +149,20 @@ def test_no_unreferenced_public_definitions(path):
                     and node.name not in referenced]
     assert not unreferenced, f"{path.relative_to(ROOT)}: public " \
         "definitions nothing references: " + ", ".join(unreferenced)
+
+
+#: the beam rules that only ``nn.beam_search`` applies: a decoder supplies a
+#: step function and grows no beam loop of its own
+BEAM_RULES = {"rank_expansions", "best_hypothesis"}
+
+
+def test_one_beam_loop():
+    found = [f"{path.relative_to(ROOT)}: {name}" for path in MODULES
+             if path.name != "nn.py"
+             for name in sorted(BEAM_RULES
+                                & _referenced(ast.parse(path.read_text())))]
+    assert not found, "beam rules used outside nn.beam_search: " \
+        + ", ".join(found)
 
 
 #: the calls that count for an optional parameter: those of a stage, a script

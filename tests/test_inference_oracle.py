@@ -3,8 +3,9 @@
 The oracles below are the earlier ``infer_plan``, ``greedy_plan`` and
 ``generate`` with the same arithmetic and ranking: they run every step on an
 autodiff tape, one hypothesis at a time, and rank the generator's output with
-a dictionary over the whole vocabulary sorted per hypothesis.  The new
-searches must return exactly what they return.
+a dictionary over the whole vocabulary sorted per hypothesis.  The generator
+oracle finishes hypotheses by the planner's rule, which both searches now
+share.  The new searches must return exactly what they return.
 """
 
 from dataclasses import dataclass, replace
@@ -144,7 +145,10 @@ def _surface_dist(model, plan_tokens, p_gen, p_copy, alpha, dropped):
 
 
 def oracle_generate(plan_tokens, model, beam_size, dropped=(UNK, BOS, "")):
-    """``dropped``: the surfaces never emitted."""
+    """``dropped``: the surfaces never emitted.  Every non-empty history is
+    finished at its EOS probability (one of ``max_len`` tokens can only
+    finish), and each live history offers its ``beam_size`` best non-EOS
+    surfaces for expansion."""
     tape = Tape()
     plan_ids = [model.token_id(t) for t in plan_tokens]
     S, h0, c0 = encode_plan(tape, model, plan_ids)
@@ -152,7 +156,7 @@ def oracle_generate(plan_tokens, model, beam_size, dropped=(UNK, BOS, "")):
     # (tokens, logprob, h, c, prev)
     beams = [((), 0.0, h0.data, c0.data, BOS)]
     finished = []
-    for _step in range(model.hyper.max_len):
+    for _step in range(model.hyper.max_len + 1):
         expansions = []
         for tokens, logprob, h_prev, c_prev, prev in beams:
             h, c = lstm_step(
@@ -165,30 +169,23 @@ def oracle_generate(plan_tokens, model, beam_size, dropped=(UNK, BOS, "")):
             p_gen, p_copy = _output_dists(tape, model, comb)
             dist = _surface_dist(model, plan_tokens, p_gen.data[0],
                                  p_copy.data[0, 0], alpha.data[0], dropped)
-            top = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
-            for tok, prob in top[:beam_size + 1]:
-                logp = logprob + float(np.log(max(prob, 1e-300)))
-                if tok == EOS:
-                    if tokens:
-                        finished.append((tokens, logp, h.data, c.data, tok))
-                    continue
-                expansions.append((tokens + (tok,), logp, h.data, c.data,
-                                   tok))
+            logps = {tok: logprob + float(np.log(max(prob, 1e-300)))
+                     for tok, prob in dist.items()}
+            if tokens:
+                finished.append((tokens, logps.pop(EOS)))
+            if len(tokens) == model.hyper.max_len:
+                continue
+            logps.pop(EOS, None)
+            top = sorted(logps.items(), key=lambda kv: (-kv[1], kv[0]))
+            expansions += [(tokens + (tok,), logp, h.data, c.data, tok)
+                           for tok, logp in top[:beam_size]]
         if not expansions:
             break
         expansions.sort(key=lambda b: (-b[1], b[0]))
         beams = expansions[:beam_size]
 
-    def score(b):
-        return b[1] / max(len(b[0]), 1)
-
-    if finished:
-        finished.sort(key=lambda b: (-score(b), b[0]))
-        return list(finished[0][0])
-    if beams:
-        beams.sort(key=lambda b: (-score(b), b[0]))
-        return list(beams[0][0])
-    return []
+    finished.sort(key=lambda b: (-(b[1] / len(b[0])), b[0]))
+    return list(finished[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +343,8 @@ def test_generate_forced_ties(beam):
 
 
 def test_generate_length_cap_is_covered():
-    # EOS gets no generation mass: every search runs to the cap
+    # EOS gets next to no generation mass, so every history runs to the cap
+    # and the winner is one of max_len tokens, finished at the cap
     model, plan = random_generator(4)
     model.store["b_out"].data[model.vocab[EOS]] = -1e3
     model = capped(model, 6)

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from macroplan import nn
 from macroplan.autodiff import ShapeError, Tape
 from macroplan.nn import (ADAGRAD_EPS, GRAD_CLIP, ParamStore, adagrad_step,
-                          best_hypothesis, bilstm_encode, grad_check,
-                          load_params, lstm_step, rank_expansions,
-                          save_params)
+                          beam_search, best_hypothesis, bilstm_encode,
+                          grad_check, load_params, lstm_step,
+                          rank_expansions, save_params)
 from macroplan.planner import PlannerHyper, train_planner
 
 
@@ -283,6 +283,82 @@ class TestBeamRanking:
         # -2.7 over three steps (-0.9 a step) beats -2.0 over two
         assert best_hypothesis([(-2.0, (0, 1)), (-2.7, (0, 1, 2))]) == \
             (0, 1, 2)
+
+
+class ToyDecoder:
+    """A step function over ``actions`` actions whose log probs depend on
+    the history alone: drawn from ``seed`` and the history, or all equal
+    under ``tied``.  An action other than ``end`` is blocked where it and
+    the history sum to a multiple of 3, but at the root.  The one state a
+    step returns is each row's history sum, and the next step checks that
+    the search handed each history its parent's row."""
+
+    def __init__(self, actions, end, seed, tied):
+        self.actions, self.end, self.seed, self.tied = (actions, end, seed,
+                                                        tied)
+
+    def logp(self, history):
+        if self.tied:
+            logp = np.full(self.actions, -1.0)
+        else:
+            logp = np.log(np.random.default_rng(
+                [self.seed, len(history), *history]).dirichlet(
+                    np.ones(self.actions)))
+        for j in range(self.actions):
+            if history and j != self.end and (sum(history) + j) % 3 == 0:
+                logp[j] = -np.inf
+        return logp
+
+    def step(self, history, states):
+        (total,) = states
+        assert total[:, 0].tolist() == history[:, :-1].sum(axis=1).tolist()
+        return ((history.sum(axis=1, keepdims=True),),
+                np.array([self.logp(tuple(h)) for h in history.tolist()]))
+
+    def search(self, beam_size, max_len):
+        return beam_search(self.step, (np.zeros((1, 1), np.int64),),
+                           self.end, beam_size, max_len)
+
+    def brute_force(self, max_len):
+        """best_hypothesis over every allowed history of 1 to ``max_len``
+        actions, each finished by ``end``."""
+        pairs, live = [], [((), 0.0)]
+        for _ in range(max_len):
+            grown = []
+            for history, logprob in live:
+                logp = self.logp(history)
+                grown += [(history + (j,), logprob + logp[j])
+                          for j in range(self.actions)
+                          if j != self.end and np.isfinite(logp[j])]
+            live = grown
+            pairs += [(logprob + self.logp(h)[self.end], h)
+                      for h, logprob in live]
+        return best_hypothesis(pairs)
+
+
+class TestBeamSearch:
+    @given(st.integers(3, 4), st.data(), st.integers(0, 2**16),
+           st.integers(1, 3), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_wide_beam_is_exhaustive(self, actions, data, seed, max_len,
+                                     tied):
+        toy = ToyDecoder(actions, data.draw(st.integers(0, actions - 1)),
+                         seed, tied)
+        # no length has more allowed histories than (actions - 1) ** max_len
+        assert toy.search((actions - 1) ** max_len, max_len) == \
+            toy.brute_force(max_len)
+
+    def test_tied_search_keeps_the_smallest_history(self):
+        # every history of max_len actions scores best, the smallest first
+        toy = ToyDecoder(4, 0, 0, tied=True)
+        for beam_size in (1, 2, 27):
+            assert toy.search(beam_size, 3) == toy.brute_force(3) == (1, 1, 2)
+
+    @pytest.mark.parametrize("beam_size, max_len, key", [
+        (0, 3, "beam_size"), (2, 0, "max_len")])
+    def test_out_of_range_is_refused(self, beam_size, max_len, key):
+        with pytest.raises(ValueError, match=key):
+            ToyDecoder(3, 0, 0, False).search(beam_size, max_len)
 
 
 class TestCheckpoints:
