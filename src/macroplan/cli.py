@@ -47,10 +47,13 @@ _JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 #: the least value of the ``RunConfig`` fields that have one: with no epoch
 #: a training stage has no NLL to report, a negative holdout would train on
 #: every game, a beam search needs one hypothesis and one step, truncated
-#: BPTT one step per segment, and a team one batter and one pitcher
+#: BPTT one step per segment, a team one batter and one pitcher, and an
+#: embedding or LSTM layer one unit (a generator embedding of width 0 ran
+#: every stage to exit 0)
 _MINIMUM = {"planner_epochs": 1, "generator_epochs": 1, "holdout": 0,
             "beam": 1, "generator_max_len": 1, "generator_trunc": 1,
-            "batters_per_team": 1, "pitchers_per_team": 1}
+            "batters_per_team": 1, "pitchers_per_team": 1, "planner_emb": 1,
+            "planner_hidden": 1, "generator_emb": 1, "generator_hidden": 1}
 
 
 @dataclass(frozen=True)

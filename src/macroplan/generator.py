@@ -145,10 +145,14 @@ def _surfaces(plan_tokens: list[str]) -> list[str]:
     return [strip_marker(t) for t in plan_tokens]
 
 
-def _copy_mask(surfaces: list[str], target: str) -> np.ndarray:
-    """(L, 1) column, 1.0 at plan positions whose surface equals
-    ``target``."""
-    return np.array([[1.0 if s == target else 0.0] for s in surfaces])
+def _copy_masks(surfaces: list[str], targets: list[str]) -> np.ndarray:
+    """(T, L) array, 1.0 where plan position l's surface is target t.  The
+    strings compare by one integer code per distinct surface, never by
+    vocabulary id: held-out names differ although all read as ``<unk>``."""
+    codes: dict[str, int] = {}
+    plan = np.array([codes.setdefault(s, len(codes)) for s in surfaces])
+    wanted = np.array([codes.get(t, -1) for t in targets])
+    return (wanted[:, None] == plan).astype(np.float64)
 
 
 def instance_loss(tape: Tape, model: GeneratorModel, plan_tokens: list[str],
@@ -158,13 +162,18 @@ def instance_loss(tape: Tape, model: GeneratorModel, plan_tokens: list[str],
     The decoder recurrent state is detached every ``hyper.trunc`` steps so
     gradients do not flow across segment boundaries (truncated BPTT); the
     encoder still receives gradient from every step through attention.
+    Each segment's steps run one ``decode_step`` per target, and its targets
+    are scored together: one output layer over the (T, n) combined states
+    and one sum of the T mixture NLLs.
     """
     trunc = model.hyper.trunc
     store = model.store
     plan_ids = [model.token_id(t) for t in plan_tokens]
     S, h, c = encode_plan(tape, model, plan_ids)
-    surfaces = _surfaces(plan_tokens)
     targets = list(target_tokens) + [EOS]
+    target_ids = np.array([model.token_id(t) for t in targets])
+    copy_mask = _copy_masks(_surfaces(plan_tokens), targets)
+    vocab_ids = np.arange(len(model.vocab))
     # teacher forcing: each decoder input is the previous target
     input_ids = [model.token_id(t) for t in [BOS] + targets[:-1]]
     emb = tape.param(store, "emb")
@@ -177,18 +186,24 @@ def instance_loss(tape: Tape, model: GeneratorModel, plan_tokens: list[str],
             tape, [tape.row(emb, i) for i in input_ids[start:start + trunc]],
             h, c, W, b)
         h = hs[-1]
-        for h_t, target in zip(hs, targets[start:start + trunc]):
-            comb, alpha = decode_step(tape, model, S, h_t)
-            p_gen, p_copy = _output_dists(tape, model, comb)
-            token = model.token_id(target)
-            gen_p = tape.slice_last(p_gen, token, token + 1)
-            mask = _copy_mask(surfaces, target)
-            copy_p = tape.matmul(alpha, tape.tensor(mask))
-            keep = tape.add_const(tape.neg(p_copy), 1.0)
-            p = tape.add(tape.mul(keep, gen_p), tape.mul(p_copy, copy_p))
-            step_loss = tape.neg(tape.log(tape.add_const(p, 1e-12)))
-            loss = step_loss if loss is None else tape.add(loss, step_loss)
-    return tape.sum(loss)                       # 0-D, as fit reads it
+        combs, alphas = zip(*(decode_step(tape, model, S, h_t) for h_t in hs))
+        alpha = tape.concat(list(alphas), axis=0)
+        p_gen, p_copy = _output_dists(tape, model,
+                                      tape.concat(list(combs), axis=0))
+        rows = slice(start, start + len(hs))
+        gen_mask = target_ids[rows, None] == vocab_ids
+        # each target's mass, mixed as _ExtendedVocab.mix mixes: (1 - p_copy)
+        # * p_gen at its vocabulary id, plus p_copy * alpha at every plan
+        # position whose surface it is
+        keep = tape.add_const(tape.neg(p_copy), 1.0)
+        gen_p = tape.sum(tape.mul(tape.mul(keep, p_gen),
+                                  tape.tensor(gen_mask)), axis=-1)
+        copy_p = tape.sum(tape.mul(tape.mul(p_copy, alpha),
+                                   tape.tensor(copy_mask[rows])), axis=-1)
+        p = tape.add(gen_p, copy_p)
+        nll = tape.sum(tape.neg(tape.log(tape.add_const(p, 1e-12))))
+        loss = nll if loss is None else tape.add(loss, nll)
+    return loss                                 # 0-D, as fit reads it
 
 
 def train_generator(pairs, hyper: GeneratorHyper

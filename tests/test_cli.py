@@ -92,7 +92,9 @@ class TestRunConfig:
         ("planner_epochs", 0, 1), ("generator_epochs", 0, 1),
         ("holdout", -1, 0), ("beam", 0, 1), ("generator_max_len", 0, 1),
         ("generator_trunc", 0, 1), ("batters_per_team", 0, 1),
-        ("pitchers_per_team", 0, 1)])
+        ("pitchers_per_team", 0, 1), ("planner_emb", 0, 1),
+        ("planner_hidden", 0, 1), ("generator_emb", 0, 1),
+        ("generator_hidden", 0, 1)])
     def test_out_of_range_is_one_error_line(self, tmp_path, capsys, key,
                                             value, least):
         path = tmp_path / "cfg.json"

@@ -6,6 +6,9 @@ step.  ``lstm_sequence``, on the tape and under ``NO_GRAD``, and
 ``nn.lstm_step``, a one-step sequence, must reproduce its forward exactly.
 The sequence's gradients, over one step and over six, and the gradients of
 both models' losses must lie within 1e-9 relative of the per-step oracle's.
+``oracle_generator_loss`` scores each target with an output layer and an
+(L, 1) copy mask of its own, where ``generator.instance_loss`` scores a
+segment's targets together.
 ``reference_encode_candidates`` is the earlier ``planner.encode_candidates``:
 one BiLSTM batch per candidate length, pooled position by position.  The
 trie encoder's rows must lie within 1e-12 of it and its gradients within
@@ -19,8 +22,8 @@ from hypothesis import given, settings, strategies as st
 from macroplan import generator, nn, planner
 from macroplan.autodiff import NO_GRAD, Tape
 from macroplan.generator import (BOS, EOS, GeneratorHyper, GeneratorModel,
-                                 _copy_mask, _output_dists, _surfaces,
-                                 build_gen_vocab, decode_step, encode_plan)
+                                 _output_dists, _surfaces, build_gen_vocab,
+                                 decode_step, encode_plan)
 from macroplan.planner import (PlannerHyper, PlannerModel, _reps_with_eom,
                                build_vocab, contextualize, encode_candidates,
                                pointer_step)
@@ -202,6 +205,12 @@ def oracle_planner_loss(tape, model, id_seqs, pointer_seq):
     return loss
 
 
+def _copy_mask(surfaces, target):
+    """(L, 1) column, 1.0 at plan positions whose surface equals
+    ``target``."""
+    return np.array([[1.0 if s == target else 0.0] for s in surfaces])
+
+
 def oracle_generator_loss(tape, model, plan_tokens, target_tokens):
     store = model.store
     S, h, c = encode_plan(tape, model,
@@ -266,8 +275,25 @@ def _generator_case():
         tape, model, plan, target)
 
 
-@pytest.mark.parametrize("case", [_planner_case, _generator_case],
-                         ids=["planner", "generator"])
+def _generator_copy_case():
+    """10 targets plus EOS at ``trunc`` 5, so the last segment scores EOS
+    alone as a (1, n) stack.  "9" copies from two plan positions, and "Zed",
+    outside the vocabulary, only from the plan."""
+    plan = ["<TEAM>Ra", "<TR>9", "<P>", "<PLAYER>Zed", "<RBI>9", "<INN>2"]
+    target = ["the", "Ra", "scored", "9", ".", "Zed", "had", "9", "RBI", "."]
+    hyper = GeneratorHyper(emb_dim=5, hidden=4, seed=4, trunc=5)
+    vocab = build_gen_vocab([(plan, ["he" if t == "Zed" else t
+                                     for t in target])])
+    assert "Zed" not in vocab and (len(target) + 1) % hyper.trunc == 1
+    model = GeneratorModel.init(vocab, hyper, np.random.default_rng(4))
+    return model, (generator,), lambda tape: generator.instance_loss(
+        tape, model, plan, target), lambda tape: oracle_generator_loss(
+        tape, model, plan, target)
+
+
+@pytest.mark.parametrize(
+    "case", [_planner_case, _generator_case, _generator_copy_case],
+    ids=["planner", "generator", "generator-copy"])
 def test_instance_loss_matches_per_step_oracle(case, monkeypatch):
     model, patched, loss_fn, oracle_fn = case()
 

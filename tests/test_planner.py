@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from macroplan import planner
 from macroplan.autodiff import NO_GRAD, Tape
 from macroplan.nn import bilstm_encode
 from macroplan.planner import (PlannerHyper, PlannerModel, _PointerDecoder,
@@ -231,6 +232,21 @@ class TestTraining:
         for name, p in m1.store.items():
             assert np.array_equal(p.data, m2.store[name].data)
 
+
+    def test_one_pointer_step_per_decision(self, monkeypatch):
+        """One epoch calls ``pointer_step`` once per gold decision plus the
+        EOM, as ``bench/checks.expected_calls`` counts it in every traced
+        benchmark round.  ROADMAP item 5 batches these steps; until its
+        benchmark change lands, this pins the count."""
+        calls = []
+
+        def counted(tape, model, h, reps):
+            calls.append(h.shape[0])
+            return pointer_step(tape, model, h, reps)
+        monkeypatch.setattr(planner, "pointer_step", counted)
+        dataset = [(SEQS, [0, 2, 1]), (SEQS[:3], [2])]
+        train_planner(dataset, TINY)
+        assert calls == [1] * ((3 + 1) + (1 + 1))
 
 def _is_blocked(prefix, nxt, k=5, unigram_cap=False):
     return not _allowed(np.array([prefix], dtype=np.int64), k,
