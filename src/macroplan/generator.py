@@ -187,9 +187,8 @@ def instance_loss(tape: Tape, model: GeneratorModel, plan_tokens: list[str],
             h, c, W, b)
         h = hs[-1]
         combs, alphas = zip(*(decode_step(tape, model, S, h_t) for h_t in hs))
-        alpha = tape.concat(list(alphas), axis=0)
-        p_gen, p_copy = _output_dists(tape, model,
-                                      tape.concat(list(combs), axis=0))
+        alpha = tape.concat(alphas, axis=0)
+        p_gen, p_copy = _output_dists(tape, model, tape.concat(combs, axis=0))
         rows = slice(start, start + len(hs))
         gen_mask = target_ids[rows, None] == vocab_ids
         # each target's mass, mixed as _ExtendedVocab.mix mixes: (1 - p_copy)
